@@ -11,8 +11,9 @@
 //! `ff_off` variants (the `fast_forward_is_byte_identical` tests assert
 //! it); only wall-clock time may differ. Compare medians to see what the
 //! event-horizon scheduler buys on each shape. The `hotloop` *binary*
-//! measures the same thing plus a memory-stall-dominated rig sweep and
-//! records `BENCH_hotloop.json` for CI.
+//! measures the same thing plus Figure 10's software scatter-add program
+//! and a memory-stall-dominated rig sweep, and records
+//! `BENCH_hotloop.json` for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sa_apps::histogram::{run_hw, HistogramInput};

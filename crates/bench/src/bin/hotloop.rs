@@ -16,10 +16,13 @@
 //! perf-trajectory ledger `bench/history/trajectory.ndjson`; inspect it
 //! with `analyze trend`.
 //!
-//! Three workloads cover the simulator's distinct hot loops:
+//! Four workloads cover the simulator's distinct hot loops:
 //!
 //! * `histogram-fig6` — Figure 6's histogram on the executor path;
 //! * `spmv-ebe` — the EBE sparse matrix-vector product;
+//! * `md-sw` — Figure 10's software scatter-add (batched sort + segmented
+//!   scan): the largest stream program, so its cost is dominated by the
+//!   executor scoreboard rather than the memory system;
 //! * `rig-stall` — the sensitivity rig at 400-cycle memory latency and a
 //!   1-in-8-cycle memory interval: a memory-stall-dominated shape where
 //!   almost every cycle is provably idle, so fast-forward must win big
@@ -54,6 +57,7 @@
 use std::time::Instant;
 
 use sa_apps::histogram::{run_hw, HistogramInput};
+use sa_apps::md::{run_sw_default, WaterSystem};
 use sa_apps::mesh::Mesh;
 use sa_apps::spmv::run_ebe_hw;
 use sa_bench::args::Args;
@@ -79,6 +83,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         Mesh::generate(200, 20, 1040, 14)
     };
     let x = mesh.test_vector(15);
+    let water = WaterSystem::generate(if quick { 48 } else { 120 }, 11);
     let rig_n = if quick { 4096 } else { 16_384 };
     let mut rng = Rng64::new(0x407_1007);
     let rig_idx: Vec<u64> = (0..rig_n).map(|_| rng.below(512)).collect();
@@ -90,6 +95,10 @@ fn workloads(quick: bool) -> Vec<Workload> {
         Workload {
             name: "spmv-ebe",
             run: Box::new(move || run_ebe_hw(&cfg, &mesh, &x).report.cycles),
+        },
+        Workload {
+            name: "md-sw",
+            run: Box::new(move || run_sw_default(&cfg, &water).report.cycles),
         },
         Workload {
             name: "rig-stall",
@@ -104,6 +113,12 @@ fn workloads(quick: bool) -> Vec<Workload> {
             }),
         },
     ]
+}
+
+/// Logical cores available to this process, recorded beside every
+/// wall-clock number so it stays interpretable.
+fn host_cores() -> u64 {
+    std::thread::available_parallelism().map_or(1, |p| p.get() as u64)
 }
 
 /// Best-of-`repeats` wall seconds and the (deterministic) simulated cycles.
@@ -149,7 +164,8 @@ fn compare_to_baseline(baseline: &Json, runs: &[Json], key: &str) -> usize {
 /// Measure the intra-node bank-lane pool on the compute-bound workloads:
 /// `--node-threads 4` vs 1 with fast-forward off, so the comparison
 /// isolates the worker pool itself (the rig workload is excluded — its
-/// memory-stall shape measures the scheduler, not the lanes). Simulated
+/// memory-stall shape measures the scheduler, not the lanes — and so is
+/// `md-sw`, whose cost is the executor scoreboard). Simulated
 /// cycles must match exactly; wall-clock is tracked warn-only because the
 /// ratio is a property of the host's core count.
 fn measure_intra_node(quick: bool, repeats: usize) -> Vec<Json> {
@@ -158,11 +174,11 @@ fn measure_intra_node(quick: bool, repeats: usize) -> Vec<Json> {
         "bank-lane pool at --node-threads 4 vs 1; compute-bound workloads",
     );
     let threads = 4usize;
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cores = host_cores();
     let prev_threads = sa_sim::node_threads_default();
     let mut out = Vec::new();
     for w in workloads(quick) {
-        if w.name == "rig-stall" {
+        if matches!(w.name, "rig-stall" | "md-sw") {
             continue;
         }
         sa_sim::set_fast_forward_default(false);
@@ -192,7 +208,7 @@ fn measure_intra_node(quick: bool, repeats: usize) -> Vec<Json> {
         o.push("wall_ms_nt1", Json::Num(wall_1 * 1e3));
         o.push("wall_ms_nt4", Json::Num(wall_n * 1e3));
         o.push("intra_node_speedup", Json::Num(speedup));
-        o.push("host_cores", Json::UInt(cores as u64));
+        o.push("host_cores", Json::UInt(cores));
         out.push(o);
     }
     sa_sim::set_node_threads_default(prev_threads.max(1));
@@ -493,6 +509,7 @@ fn main() {
         doc.push("bench", Json::Str("hotloop".to_owned()));
         doc.push("quick", Json::Bool(quick));
         doc.push("repeats", Json::UInt(repeats as u64));
+        doc.push("host_cores", Json::UInt(host_cores()));
         doc.push("runs", Json::Arr(runs.clone()));
         doc.push("intra_node", Json::Arr(intra_runs.clone()));
         doc.push("cache", Json::Arr(cache_runs.clone()));

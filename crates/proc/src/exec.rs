@@ -1,5 +1,8 @@
 //! Scoreboarded execution of a [`StreamProgram`] on one node.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use fxhash::FxHashMap;
 use sa_core::NodeMemSys;
 use sa_sim::{Clock, Cycle, MachineConfig, MemOp, MemRequest, Origin, ReqId};
@@ -104,11 +107,101 @@ fn srf_footprint(op: &StreamOp) -> u64 {
     }
 }
 
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum OpState {
-    Waiting,
-    Running,
-    Done,
+/// Event-driven dependency tracking for one run: each op's count of
+/// unfinished dependencies, a CSR list of its dependents, and the ops whose
+/// dependencies have all finished, kept in ascending id and split by the
+/// resource they wait for.
+///
+/// Ops start in ascending id among those whose resource is free, exactly
+/// the order of a linear scan over the program, so each cycle costs only
+/// the ops that actually start or finish.
+struct Scoreboard<'p> {
+    prog: &'p StreamProgram,
+    /// Unfinished dependencies per op (a repeated dependency counts twice).
+    pending: Vec<u32>,
+    /// `dependents[dep_start[d]..dep_start[d + 1]]` lists the ops naming `d`
+    /// as a dependency, once per naming.
+    dep_start: Vec<usize>,
+    dependents: Vec<OpId>,
+    ready_kernels: BinaryHeap<Reverse<OpId>>,
+    ready_mem: BinaryHeap<Reverse<OpId>>,
+}
+
+impl<'p> Scoreboard<'p> {
+    fn new(prog: &'p StreamProgram) -> Scoreboard<'p> {
+        let n = prog.len();
+        let mut pending = vec![0u32; n];
+        let mut dep_start = vec![0usize; n + 1];
+        for (id, _, deps) in prog.iter() {
+            pending[id] = deps.len() as u32;
+            for &d in deps {
+                dep_start[d + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dep_start[i + 1] += dep_start[i];
+        }
+        let mut fill = dep_start.clone();
+        let mut dependents = vec![0; dep_start[n]];
+        for (id, _, deps) in prog.iter() {
+            for &d in deps {
+                dependents[fill[d]] = id;
+                fill[d] += 1;
+            }
+        }
+        let mut sb = Scoreboard {
+            prog,
+            pending,
+            dep_start,
+            dependents,
+            ready_kernels: BinaryHeap::new(),
+            ready_mem: BinaryHeap::new(),
+        };
+        for id in 0..n {
+            if sb.pending[id] == 0 {
+                sb.make_ready(id);
+            }
+        }
+        sb
+    }
+
+    fn make_ready(&mut self, id: OpId) {
+        match self.prog.op(id).0 {
+            StreamOp::Kernel { .. } => self.ready_kernels.push(Reverse(id)),
+            _ => self.ready_mem.push(Reverse(id)),
+        }
+    }
+
+    /// Record that `id` finished, readying every dependent it was the last
+    /// unfinished dependency of. Dependents have higher ids than `id`.
+    fn finish(&mut self, id: OpId) {
+        for i in self.dep_start[id]..self.dep_start[id + 1] {
+            let d = self.dependents[i];
+            self.pending[d] -= 1;
+            if self.pending[d] == 0 {
+                self.make_ready(d);
+            }
+        }
+    }
+
+    /// Remove and return the lowest-id ready op whose resource is free: a
+    /// kernel when the cluster array is free, a memory op when an AG is.
+    fn pop_startable(&mut self, kernel_free: bool, ag_free: bool) -> Option<OpId> {
+        let k = self.ready_kernels.peek().filter(|_| kernel_free);
+        let m = self.ready_mem.peek().filter(|_| ag_free);
+        let heap = match (k, m) {
+            (Some(Reverse(k)), Some(Reverse(m))) if m < k => &mut self.ready_mem,
+            (Some(_), _) => &mut self.ready_kernels,
+            (None, Some(_)) => &mut self.ready_mem,
+            (None, None) => return None,
+        };
+        heap.pop().map(|Reverse(id)| id)
+    }
+
+    /// Whether [`pop_startable`](Self::pop_startable) would start an op.
+    fn can_start(&self, kernel_free: bool, ag_free: bool) -> bool {
+        (kernel_free && !self.ready_kernels.is_empty()) || (ag_free && !self.ready_mem.is_empty())
+    }
 }
 
 struct MemRun {
@@ -177,15 +270,15 @@ impl Executor {
         prog: &StreamProgram,
         node: &mut NodeMemSys<T>,
     ) -> ExecReport {
-        let n_ops = prog.len();
-        let mut state = vec![OpState::Waiting; n_ops];
-        let mut spans = vec![OpSpan::default(); n_ops];
+        let mut board = Scoreboard::new(prog);
+        let mut spans = vec![OpSpan::default(); prog.len()];
         let mut ags: Vec<Option<MemRun>> = (0..self.cfg.ag.count).map(|_| None).collect();
         let mut kernel: Option<KernelRun> = None;
-        let mut req_owner: FxHashMap<ReqId, OpId> = FxHashMap::default();
+        // Each in-flight request's AG slot.
+        let mut req_slot: FxHashMap<ReqId, usize> = FxHashMap::default();
         let mut next_id: ReqId = 0;
         let mut clock = Clock::with_limit(8_000_000_000);
-        let mut remaining = n_ops;
+        let mut remaining = prog.len();
         let mut live_srf: u64 = 0;
         let mut peak_srf: u64 = 0;
         let fast_forward = node.fast_forward();
@@ -195,15 +288,14 @@ impl Executor {
             let now = clock.advance();
             let t = now.raw();
 
-            // Start ready ops on free resources.
-            for id in 0..n_ops {
-                if state[id] != OpState::Waiting {
-                    continue;
-                }
-                let (op, deps) = prog.op(id);
-                if !deps.iter().all(|&d| state[d] == OpState::Done) {
-                    continue;
-                }
+            // Start ready ops on free resources, in ascending op id.
+            while let Some(id) =
+                board.pop_startable(kernel.is_none(), ags.iter().any(Option::is_none))
+            {
+                let op = prog.op(id).0;
+                spans[id].start = t;
+                live_srf += srf_footprint(op);
+                peak_srf = peak_srf.max(live_srf);
                 match op {
                     StreamOp::Kernel {
                         elements,
@@ -211,45 +303,30 @@ impl Executor {
                         srf_words_per_element,
                         ..
                     } => {
-                        if kernel.is_none() {
-                            let dur = self.kernel_cycles(
-                                *elements,
-                                *ops_per_element,
-                                *srf_words_per_element,
-                            );
-                            kernel = Some(KernelRun {
-                                op: id,
-                                end_at: t + dur,
-                            });
-                            state[id] = OpState::Running;
-                            spans[id].start = t;
-                            live_srf += srf_footprint(op);
-                            peak_srf = peak_srf.max(live_srf);
-                        }
+                        let dur =
+                            self.kernel_cycles(*elements, *ops_per_element, *srf_words_per_element);
+                        kernel = Some(KernelRun {
+                            op: id,
+                            end_at: t + dur,
+                        });
+                    }
+                    _ if op.mem_refs() == 0 => {
+                        // Degenerate empty stream: completes at once, and its
+                        // (higher-id) dependents may start this same cycle.
+                        spans[id].end = t;
+                        remaining -= 1;
+                        live_srf -= srf_footprint(op);
+                        board.finish(id);
                     }
                     _ => {
-                        if let Some(slot) = ags.iter().position(|a| a.is_none()) {
-                            let total = op.mem_refs();
-                            ags[slot] = Some(MemRun {
-                                op: id,
-                                issue_from: t + u64::from(self.cfg.ag.startup_cycles),
-                                cursor: 0,
-                                acked: 0,
-                                total,
-                            });
-                            state[id] = OpState::Running;
-                            spans[id].start = t;
-                            live_srf += srf_footprint(op);
-                            peak_srf = peak_srf.max(live_srf);
-                            if total == 0 {
-                                // Degenerate empty stream: completes at once.
-                                state[id] = OpState::Done;
-                                spans[id].end = t;
-                                remaining -= 1;
-                                ags[slot] = None;
-                                live_srf -= srf_footprint(op);
-                            }
-                        }
+                        let slot = ags.iter().position(Option::is_none).expect("free AG");
+                        ags[slot] = Some(MemRun {
+                            op: id,
+                            issue_from: t + u64::from(self.cfg.ag.startup_cycles),
+                            cursor: 0,
+                            acked: 0,
+                            total: op.mem_refs(),
+                        });
                     }
                 }
             }
@@ -257,10 +334,10 @@ impl Executor {
             // Kernel completion.
             if kernel.as_ref().is_some_and(|k| k.end_at <= t) {
                 let k = kernel.take().expect("checked");
-                state[k.op] = OpState::Done;
                 spans[k.op].end = t;
                 remaining -= 1;
                 live_srf -= srf_footprint(prog.op(k.op).0);
+                board.finish(k.op);
             }
 
             // Issue memory requests from each busy AG.
@@ -310,7 +387,7 @@ impl Executor {
                     };
                     match node.inject_traced(req, now) {
                         Ok(()) => {
-                            req_owner.insert(next_id, run.op);
+                            req_slot.insert(next_id, slot);
                             next_id += 1;
                             run.cursor += 1;
                         }
@@ -323,23 +400,18 @@ impl Executor {
 
             // Completions retire requests and, eventually, their ops.
             while let Some(c) = node.pop_completion() {
-                let Some(op) = req_owner.remove(&c.id) else {
+                let Some(slot) = req_slot.remove(&c.id) else {
                     continue;
                 };
-                for ag in ags.iter_mut() {
-                    if let Some(run) = ag.as_mut() {
-                        if run.op == op {
-                            run.acked += 1;
-                            if run.acked == run.total {
-                                state[op] = OpState::Done;
-                                spans[op].end = t;
-                                remaining -= 1;
-                                *ag = None;
-                                live_srf -= srf_footprint(prog.op(op).0);
-                            }
-                            break;
-                        }
-                    }
+                let run = ags[slot].as_mut().expect("request's AG is busy");
+                run.acked += 1;
+                if run.acked == run.total {
+                    let op = run.op;
+                    ags[slot] = None;
+                    spans[op].end = t;
+                    remaining -= 1;
+                    live_srf -= srf_footprint(prog.op(op).0);
+                    board.finish(op);
                 }
             }
 
@@ -347,16 +419,7 @@ impl Executor {
             // actively issuing, nothing on the scoreboard changes until the
             // next kernel/AG wakeup or node event — jump the clock there.
             if fast_forward && remaining > 0 {
-                let can_start = (0..n_ops).any(|id| {
-                    state[id] == OpState::Waiting && {
-                        let (op, deps) = prog.op(id);
-                        deps.iter().all(|&d| state[d] == OpState::Done)
-                            && match op {
-                                StreamOp::Kernel { .. } => kernel.is_none(),
-                                _ => ags.iter().any(|a| a.is_none()),
-                            }
-                    }
-                });
+                let can_start = board.can_start(kernel.is_none(), ags.iter().any(Option::is_none));
                 let issuing = ags
                     .iter()
                     .flatten()
@@ -743,5 +806,120 @@ mod tests {
         );
         let r = Executor::new(cfg()).run(&p, &mut n);
         assert!(r.cycles < 10);
+    }
+
+    fn empty_gather() -> StreamOp {
+        StreamOp::gather(AccessPattern::Indexed {
+            base_word: 0,
+            indices: vec![],
+        })
+    }
+
+    fn seq_gather(base_word: u64, n: u64) -> StreamOp {
+        StreamOp::gather(AccessPattern::Sequential { base_word, n })
+    }
+
+    #[test]
+    fn empty_gather_releases_dependents_in_the_same_cycle() {
+        // The empty gather completes inside the start loop; the kernel and
+        // gather waiting only on it start in that very cycle.
+        let mut p = StreamProgram::new();
+        let e = p.add(empty_gather(), &[]);
+        let k = p.add(StreamOp::kernel("k", 64, 4, 2, 1), &[e]);
+        let g = p.add(seq_gather(0, 64), &[e]);
+        let r = Executor::new(cfg()).run(&p, &mut node());
+        let at = r.spans[e].start;
+        assert_eq!(r.spans[e].end, at);
+        assert_eq!(r.spans[k].start, at, "kernel starts with the empty gather");
+        assert_eq!(r.spans[g].start, at, "gather starts with the empty gather");
+    }
+
+    #[test]
+    fn repeated_dependency_is_waited_for_once() {
+        let mut p = StreamProgram::new();
+        let g = p.add(seq_gather(0, 128), &[]);
+        let e = p.add(empty_gather(), &[g, g]);
+        let k = p.add(StreamOp::kernel("k", 128, 4, 2, 1), &[g, e, g, e]);
+        let r = Executor::new(cfg()).run(&p, &mut node());
+        assert!(r.spans[e].start > r.spans[g].end);
+        assert_eq!(r.spans[k].start, r.spans[e].end);
+        assert!(r.cycles >= r.spans[k].end);
+    }
+
+    #[test]
+    fn ready_kernel_waits_while_later_memory_op_starts() {
+        // k1 is ready from the start but the cluster array is busy with
+        // k0; the higher-id gather g3 is released mid-k0 and starts at
+        // once on a free AG, well before k1.
+        let mut p = StreamProgram::new();
+        let k0 = p.add(StreamOp::kernel("long", 16_384, 8, 2, 1), &[]);
+        let k1 = p.add(StreamOp::kernel("next", 64, 4, 2, 1), &[]);
+        let g2 = p.add(seq_gather(0, 64), &[]);
+        let g3 = p.add(seq_gather(4096, 64), &[g2]);
+        let r = Executor::new(cfg()).run(&p, &mut node());
+        assert_eq!(r.spans[k1].start, r.spans[k0].end + 1);
+        assert_eq!(r.spans[g3].start, r.spans[g2].end + 1);
+        assert!(r.spans[g3].start < r.spans[k0].end);
+    }
+
+    #[test]
+    fn mixed_program_timing_is_pinned() {
+        // Kernels, gathers, a scatter, a scatter-add, an empty stream and a
+        // repeated dependency on a one-AG machine. The expected spans are
+        // those of a scan over every op in id order each cycle; the
+        // scoreboard must reproduce them exactly, fast-forward on and off.
+        let mut c = cfg();
+        c.ag.count = 1;
+        let build = || {
+            let mut p = StreamProgram::new();
+            let g0 = p.add(seq_gather(0, 256), &[]);
+            let g1 = p.add(seq_gather(1024, 96), &[]);
+            let k2 = p.add(StreamOp::kernel("a", 256, 6, 3, 2), &[g0]);
+            let e3 = p.add(empty_gather(), &[g1]);
+            let k4 = p.add(StreamOp::kernel("b", 96, 2, 2, 1), &[e3, e3]);
+            let idx: Vec<u64> = (0..200u64).map(|i| (i * 7) % 40).collect();
+            let s5 = p.add(
+                StreamOp::scatter_add_i64(
+                    AccessPattern::Indexed {
+                        base_word: 8192,
+                        indices: idx,
+                    },
+                    &[1; 200],
+                ),
+                &[k2],
+            );
+            p.add(
+                StreamOp::scatter(
+                    AccessPattern::Sequential {
+                        base_word: 2048,
+                        n: 96,
+                    },
+                    vec![5; 96],
+                ),
+                &[k4, g1],
+            );
+            p.add(StreamOp::kernel("c", 32, 1, 1, 1), &[s5, k4]);
+            p
+        };
+        let mut spans = Vec::new();
+        for ff in [true, false] {
+            let mut n = NodeMemSys::new(c, 0, false);
+            n.set_fast_forward(ff);
+            let r = Executor::new(c).run(&build(), &mut n);
+            let got: Vec<(u64, u64)> = r.spans.iter().map(|s| (s.start, s.end)).collect();
+            spans.push((r.cycles, got));
+        }
+        assert_eq!(spans[0], spans[1]);
+        let expected = vec![
+            (1, 162),
+            (163, 289),
+            (163, 429),
+            (290, 290),
+            (430, 686),
+            (430, 586),
+            (687, 773),
+            (687, 939),
+        ];
+        assert_eq!(spans[0], (939, expected));
     }
 }
