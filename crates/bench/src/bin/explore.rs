@@ -6,14 +6,14 @@
 //! explore histogram --impl sortscan --batch 256
 //! explore scatter   --n 8192 --range 64 --cs 16 --fu 2 --banks 4
 //! explore scan      --n 65536
-//! explore multinode --nodes 8 --net low --combining --topology hypercube \
-//!                   --step-threads 4
+//! explore multinode --nodes 8 --net low --combining --topology hypercube
 //! explore rig       --cs 8 --latency 64 --interval 2
 //! ```
 //!
 //! Machine flags (all subcommands): `--banks`, `--cs`, `--fu`, `--ag-width`,
 //! `--line-bytes`, `--cache-kb`. Workload flags: `--n`, `--range`,
-//! `--seed`, `--skew` (Zipf exponent; 0 = uniform).
+//! `--seed`, `--skew` (Zipf exponent; 0 = uniform). Any other flag outside
+//! the shared run-control set prints usage and exits 2.
 
 use sa_apps::histogram::{run_hw, run_privatization_default, run_sort_scan, HistogramInput};
 use sa_bench::args::Args;
@@ -47,9 +47,10 @@ fn input_from(args: &Args) -> Result<HistogramInput, Box<dyn std::error::Error>>
     })
 }
 
-fn cmd_histogram(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_histogram(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     let input = input_from(args)?;
     let implementation = args.choice("impl", &["hw", "sortscan", "privatization"], "hw")?;
     let run = match implementation {
@@ -76,9 +77,10 @@ fn cmd_histogram(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_scatter(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_scatter(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     let input = input_from(args)?;
     let kernel = ScatterKernel::histogram(0, input.data.clone());
     let run = drive_scatter(&cfg, &kernel, args.has("fetch"));
@@ -100,7 +102,8 @@ fn cmd_scatter(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_scan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_scan(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
     let n: usize = args.get_or("n", 4096)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -112,15 +115,16 @@ fn cmd_scan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         r.micros(),
         r.cycles as f64 / n as f64
     );
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     bench.scope("scan").counter("cycles", r.cycles);
     bench.finish();
     Ok(())
 }
 
-fn cmd_multinode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_multinode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let cfg = machine_from(args)?;
-    let mut bench = BenchRun::from_args("explore", &cfg, args);
+    let mut bench = BenchRun::from_cli("explore", &cfg, cli);
     let nodes: usize = args.get_or("nodes", 4)?;
     let net = match args.choice("net", &["low", "high"], "high")? {
         "low" => NetworkConfig::low(),
@@ -131,11 +135,10 @@ fn cmd_multinode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         _ => Topology::Flat,
     };
     let combining = args.has("combining");
-    let step_threads = Cli::try_from_args(args.clone())?.step_threads();
     let input = input_from(args)?;
     let values = vec![1.0f64; input.len()];
     let mut mn = MultiNode::with_topology(cfg, nodes, net, combining, topology);
-    let r = mn.run_trace_threads(&input.data, &values, step_threads);
+    let r = mn.run_trace(&input.data, &values);
     println!(
         "multinode nodes={nodes} combining={combining} topology={topology:?}: \
          {:.1} GB/s ({} cycles, {} sum-back lines, {} flush rounds)",
@@ -149,7 +152,8 @@ fn cmd_multinode(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_rig(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_rig(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+    let args = cli.args();
     let rig = SensitivityRig::new(SensitivityConfig {
         cs_entries: args.get_or("cs", 8)?,
         fu_latency: args.get_or("fu", 4)?,
@@ -171,7 +175,7 @@ fn cmd_rig(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         r.micros(),
         r.sa.combined
     );
-    let mut bench = BenchRun::from_args("explore", &sa_sim::MachineConfig::merrimac(), args);
+    let mut bench = BenchRun::from_cli("explore", &sa_sim::MachineConfig::merrimac(), cli);
     r.record_metrics(&mut bench.scope("rig"));
     bench.finish();
     Ok(())
@@ -181,14 +185,38 @@ const USAGE: &str = "usage: explore <histogram|scatter|scan|multinode|rig> [flag
 run `explore <subcommand>` with no flags for sensible defaults; see the
 binary's rustdoc header for the full flag list.";
 
+/// Flags of explore's own (machine and workload knobs), accepted by every
+/// subcommand on top of the shared run-control set.
+const FLAGS: &[&str] = &[
+    "banks",
+    "cs",
+    "fu",
+    "ag-width",
+    "line-bytes",
+    "cache-kb",
+    "n",
+    "range",
+    "seed",
+    "skew",
+    "impl",
+    "batch",
+    "fetch",
+    "nodes",
+    "net",
+    "topology",
+    "combining",
+    "latency",
+    "interval",
+];
+
 fn main() {
-    let args = Args::from_env();
-    let result = match args.positional().first().map(String::as_str) {
-        Some("histogram") => cmd_histogram(&args),
-        Some("scatter") => cmd_scatter(&args),
-        Some("scan") => cmd_scan(&args),
-        Some("multinode") => cmd_multinode(&args),
-        Some("rig") => cmd_rig(&args),
+    let cli = Cli::from_args(Args::from_env(), FLAGS, USAGE);
+    let result = match cli.args().positional().first().map(String::as_str) {
+        Some("histogram") => cmd_histogram(&cli),
+        Some("scatter") => cmd_scatter(&cli),
+        Some("scan") => cmd_scan(&cli),
+        Some("multinode") => cmd_multinode(&cli),
+        Some("rig") => cmd_rig(&cli),
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);

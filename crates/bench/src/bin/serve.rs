@@ -4,6 +4,7 @@
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!       [--tenant-jobs N] [--tenant-inflight N] [--cache[=DIR]]
+//! serve --help
 //! ```
 //!
 //! Submit jobs with `analyze submit JOB.json --addr HOST:PORT`, inspect
@@ -14,6 +15,7 @@
 
 use std::sync::Arc;
 
+use sa_bench::args::Args;
 use sa_bench::cli::Cli;
 use sa_bench::usage_error;
 use sa_serve::{ServeConfig, Server};
@@ -29,14 +31,30 @@ usage: serve [flags]
   --tenant-jobs N      lifetime job quota per tenant, 0 = unlimited
   --tenant-inflight N  concurrent job quota per tenant, 0 = unlimited
   --cache[=DIR]        memoize results (SA_CACHE_DIR / .sa-cache default)
+  --help               print this usage and exit
 
-run-control flags (--node-threads, --fast-forward, --faults, ...) install
-process-wide defaults exactly as they do for the figure binaries; a job
-spec's exec section still overrides them per job.
+run-control flags (--fast-forward, --faults, ...) install process-wide
+defaults exactly as they do for the figure binaries; a job spec's exec
+section still overrides them per job.
 ";
 
+/// Flags of serve's own, on top of the shared run-control set.
+const FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue-depth",
+    "tenant-jobs",
+    "tenant-inflight",
+    "help",
+];
+
 fn main() {
-    let cli = Cli::from_env();
+    let args = Args::from_env();
+    if args.has("help") {
+        print!("{USAGE}");
+        return;
+    }
+    let cli = Cli::from_args(args, FLAGS, USAGE);
     let args = cli.args();
     let addr = args.raw("addr").unwrap_or("127.0.0.1:7411").to_string();
     let mut cfg = ServeConfig::default();

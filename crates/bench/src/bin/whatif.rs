@@ -21,7 +21,7 @@
 //! * usefulness — the mean |predicted − measured| gap is reported so the
 //!   trajectory of the model's accuracy is visible over time.
 
-use sa_bench::args::Args;
+use sa_bench::cli::Cli;
 use sa_bench::telemetry::machine_config_json;
 use sa_bench::{header, quick_mode, row};
 use sa_core::{drive_scatter_with, NodeMemSys, ScatterKernel};
@@ -105,7 +105,7 @@ fn predicted_speedup(doc: &Json, change: &str) -> Option<f64> {
 }
 
 fn main() {
-    let _args = Args::from_env();
+    let _cli = Cli::from_env();
     let quick = quick_mode();
     let n = if quick { 4096 } else { 16_384 };
     let range = 512;

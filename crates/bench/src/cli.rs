@@ -1,15 +1,13 @@
 //! One shared command-line surface for every sa-bench binary.
 //!
 //! The figure binaries grew identical run-control flags one copy at a time
-//! (`--jobs` scanned raw argv in `sweep`, `--step-threads` was parsed in
-//! both `fig13` and `explore`, `--fast-forward` lived inside `BenchRun`).
-//! [`Cli`] parses them once and installs the process-wide defaults they
-//! control, so a binary only handles flags specific to its experiment:
+//! (`--jobs` scanned raw argv in `sweep`, `--fast-forward` lived inside
+//! `BenchRun`). [`Cli`] parses them once and installs the process-wide
+//! defaults they control, so a binary only handles flags specific to its
+//! experiment. The flag set is closed: a flag that is neither one of these
+//! ([`COMMON_FLAGS`]) nor one the binary declares prints usage and exits 2.
 //!
 //! - `--jobs N` — sweep worker threads (beats `SA_JOBS`, defaults to cores)
-//! - `--step-threads N` — phase-parallel multinode stepping width
-//! - `--node-threads N` — intra-node bank-lane stepping width (beats
-//!   `SA_NODE_THREADS`, defaults to 1; byte-identical results at any width)
 //! - `--fast-forward on|off` — event-horizon cycle skipping (default `on`)
 //! - `--stats-json PATH`, `--trace PATH`, `--sample-interval N`,
 //!   `--req-sample N` — telemetry outputs (consumed by
@@ -47,6 +45,55 @@
 use crate::args::Args;
 use sa_faults::FaultPlan;
 use sa_telemetry::Progress;
+
+/// The run-control flags every [`Cli`] binary accepts (see the module docs).
+/// `--cache=DIR` is accepted as the `cache` flag.
+pub const COMMON_FLAGS: &[&str] = &[
+    "jobs",
+    "fast-forward",
+    "stats-json",
+    "trace",
+    "sample-interval",
+    "req-sample",
+    "faults",
+    "fault-seed",
+    "quick",
+    "progress",
+    "probe-listen",
+    "probe-wait-client",
+    "probe-interval",
+    "host-profile",
+    "spec",
+    "cache",
+];
+
+/// Usage block for [`COMMON_FLAGS`], printed after a binary's own usage
+/// when a flag is rejected.
+pub const COMMON_USAGE: &str = "\
+run-control flags (every binary):
+  --quick                      reduced-size smoke run
+  --jobs N                     sweep worker threads (default: SA_JOBS, else cores)
+  --fast-forward on|off        event-horizon cycle skipping (default on)
+  --stats-json PATH            write the sa-stats document
+  --trace PATH                 write a Chrome trace_event JSON file
+  --sample-interval N          occupancy sampling cadence in cycles
+  --req-sample N               trace one request in N
+  --faults PLAN.json           install a fault plan; --fault-seed N overrides its seed
+  --progress                   NDJSON heartbeats on stderr
+  --probe-listen PATH          serve heartbeats and probe snapshots on a unix socket
+  --probe-wait-client          with --probe-listen, wait for a watcher first
+  --probe-interval N           probe snapshot cadence in cycles
+  --host-profile               host wall-clock attribution sidecar
+  --spec JOB.json              run a serialized SessionSpec instead
+  --cache[=DIR]                content-addressed result cache
+";
+
+/// The first flag in `args` that is neither a [`COMMON_FLAGS`] entry nor
+/// one of the binary's `own` flags.
+fn unknown_flag<'a>(args: &'a Args, own: &[&str]) -> Option<&'a str> {
+    args.flags()
+        .find(|f| !(COMMON_FLAGS.contains(f) || own.contains(f) || f.starts_with("cache=")))
+}
 
 /// Probe snapshot cadence (simulated cycles) used when `--probe-listen` is
 /// given without an explicit `--probe-interval`.
@@ -86,8 +133,6 @@ fn resolve_cache_dir(args: &Args) -> Option<String> {
 pub struct Cli {
     args: Args,
     jobs: usize,
-    step_threads: usize,
-    node_threads: usize,
     fast_forward: bool,
     fault_plan: Option<FaultPlan>,
     probe_interval: u64,
@@ -101,19 +146,23 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments and install the process-wide defaults.
+    /// Parse the process arguments of a binary with no flags of its own
+    /// and install the process-wide defaults.
     pub fn from_env() -> Cli {
-        Cli::from_args(Args::from_env())
+        Cli::from_args(Args::from_env(), &[], "")
     }
 
     /// Parse pre-collected arguments and install the process-wide defaults.
+    /// `own` lists the binary's own flags and `usage` describes them; any
+    /// other flag outside [`COMMON_FLAGS`], and any malformed flag, prints
+    /// `usage` plus [`COMMON_USAGE`] and exits with status 2.
     ///
     /// When `--spec JOB.json` is among them the binary's own experiment is
     /// skipped entirely: the serialized session runs through
     /// [`crate::specrun`] and the process exits (status 0, or 2 on a
     /// malformed spec — the shared usage convention).
-    pub fn from_args(args: Args) -> Cli {
-        match Cli::try_from_args(args) {
+    pub fn from_args(args: Args, own: &[&str], usage: &str) -> Cli {
+        match Cli::try_from_args(args, own) {
             Ok(cli) => {
                 if cli.args().has("spec") || cli.args().raw("spec").is_some() {
                     crate::specrun::run_and_exit(&cli);
@@ -121,8 +170,16 @@ impl Cli {
                 cli
             }
             Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
+                let usage = if usage.is_empty() {
+                    let bin = std::env::args().next().unwrap_or_default();
+                    let bin = std::path::Path::new(&bin)
+                        .file_name()
+                        .map_or(bin.clone(), |b| b.to_string_lossy().into_owned());
+                    format!("usage: {bin} [flags]\n\n")
+                } else {
+                    format!("{}\n\n", usage.trim_end())
+                };
+                crate::usage_error(&e, &format!("{usage}{COMMON_USAGE}"))
             }
         }
     }
@@ -131,31 +188,18 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed flag (bad number, an
+    /// Returns a description of the first unknown flag (outside
+    /// [`COMMON_FLAGS`] and `own`) or malformed flag (bad number, an
     /// unknown `--fast-forward` mode, or an unreadable/invalid fault plan).
-    pub fn try_from_args(args: Args) -> Result<Cli, String> {
+    pub fn try_from_args(args: Args, own: &[&str]) -> Result<Cli, String> {
+        if let Some(flag) = unknown_flag(&args, own) {
+            return Err(format!("unknown flag --{flag}"));
+        }
         let jobs = crate::sweep::resolve_jobs(match args.get_or("jobs", 0usize) {
             Ok(n) if n > 0 => Some(n),
             Ok(_) => None,
             Err(e) => return Err(e.to_string()),
         });
-        let step_threads = args
-            .get_or("step-threads", 1usize)
-            .map_err(|e| e.to_string())?
-            .max(1);
-        // 0 = flag absent: leave the process default alone so an
-        // `SA_NODE_THREADS` environment setting (the CI matrix) survives.
-        let node_threads = args
-            .get_or("node-threads", 0usize)
-            .map_err(|e| e.to_string())?;
-        if node_threads > 0 {
-            sa_sim::set_node_threads_default(node_threads);
-        }
-        let node_threads = if node_threads > 0 {
-            node_threads
-        } else {
-            sa_sim::node_threads_default()
-        };
         let fast_forward = args
             .choice("fast-forward", &["on", "off"], "on")
             .map_err(|e| e.to_string())?
@@ -219,8 +263,6 @@ impl Cli {
         Ok(Cli {
             args,
             jobs,
-            step_threads,
-            node_threads,
             fast_forward,
             fault_plan,
             probe_interval,
@@ -239,18 +281,6 @@ impl Cli {
     /// Sweep worker threads (`--jobs` / `SA_JOBS` / available cores).
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Phase-parallel multinode stepping width (`--step-threads`, min 1).
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
-    }
-
-    /// Intra-node bank-lane stepping width (`--node-threads` /
-    /// `SA_NODE_THREADS`, min 1). Installed as the process-wide default at
-    /// parse time, so every node built afterwards picks it up.
-    pub fn node_threads(&self) -> usize {
-        self.node_threads
     }
 
     /// Whether event-horizon fast-forward is enabled (`--fast-forward`).
@@ -303,33 +333,41 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Result<Cli, String> {
-        Cli::try_from_args(Args::parse(s.split_whitespace().map(str::to_owned)))
+        Cli::try_from_args(Args::parse(s.split_whitespace().map(str::to_owned)), &[])
     }
 
     #[test]
     fn defaults() {
         let cli = parse("").expect("empty argv parses");
         assert!(cli.jobs() >= 1);
-        assert_eq!(cli.step_threads(), 1);
-        assert!(cli.node_threads() >= 1);
         assert!(cli.fast_forward());
         assert!(cli.fault_plan().is_none());
     }
 
     #[test]
     fn common_flags_parse() {
-        let prev_node_threads = sa_sim::node_threads_default();
-        let cli = parse("--jobs 3 --step-threads 2 --node-threads 4 --fast-forward off --quick")
-            .expect("parses");
+        let cli = parse("--jobs 3 --fast-forward off --quick").expect("parses");
         assert_eq!(cli.jobs(), 3);
-        assert_eq!(cli.step_threads(), 2);
-        assert_eq!(cli.node_threads(), 4);
-        assert_eq!(sa_sim::node_threads_default(), 4, "installed process-wide");
         assert!(!cli.fast_forward());
         assert!(cli.quick());
-        // restore the globals for neighbouring tests
+        // restore the global for neighbouring tests
         sa_sim::set_fast_forward_default(true);
-        sa_sim::set_node_threads_default(prev_node_threads);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for argv in [
+            "--node-threads 2",
+            "--step-threads 2",
+            "--quick --bogus-flag 3",
+        ] {
+            let e = parse(argv).unwrap_err();
+            assert!(e.starts_with("unknown flag --"), "{argv}: {e}");
+        }
+        let own = Args::parse(["--banks".to_owned(), "4".to_owned()]);
+        assert!(Cli::try_from_args(own.clone(), &["banks"]).is_ok());
+        assert!(Cli::try_from_args(own, &[]).is_err());
+        assert!(parse("--cache=/tmp/store").is_ok());
     }
 
     #[test]
@@ -403,9 +441,9 @@ mod tests {
     #[test]
     fn bad_flags_are_reported() {
         assert!(parse("--jobs frog").unwrap_err().contains("jobs"));
-        assert!(parse("--node-threads frog")
+        assert!(parse("--probe-interval frog")
             .unwrap_err()
-            .contains("node-threads"));
+            .contains("probe-interval"));
         assert!(parse("--fast-forward sometimes")
             .unwrap_err()
             .contains("fast-forward"));

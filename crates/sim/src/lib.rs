@@ -39,7 +39,6 @@ mod queue;
 mod req;
 mod rng;
 mod stats;
-mod threads;
 
 pub use config::{
     AgConfig, CacheConfig, ComputeConfig, DramConfig, MachineConfig, NetworkConfig, SaUnitConfig,
@@ -54,4 +53,10 @@ pub use req::{
 };
 pub use rng::Rng64;
 pub use stats::{Counter, QueueStats};
-pub use threads::{node_threads_default, set_node_threads_default};
+
+/// No-op. The repository benchmark (`perfbench/src/main.rs`) still calls it
+/// to pin the removed intra-node stepping width, and the benchmark changes
+/// only together with its definition (`BENCHMARK.json`). Every node steps
+/// its bank lanes serially. Delete it with the next benchmark change.
+#[doc(hidden)]
+pub fn set_node_threads_default(_threads: usize) {}

@@ -1245,11 +1245,12 @@ impl Json {
         out
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document. Arrays and objects may nest at most 128
+    /// levels deep; deeper input is an error, never a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -1273,8 +1274,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes stays far below it.
+const MAX_JSON_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, b"null", Json::Null),
@@ -1290,7 +1301,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -1315,7 +1326,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -1671,6 +1682,17 @@ pub fn has_metric_matching(doc: &Json, needle: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper"), "{e}");
+        // Far beyond any stack: an error, not an abort.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
 
     #[test]
     fn registry_counters_accumulate_and_sort() {

@@ -8,17 +8,16 @@
 //! canonical description all three lower to:
 //!
 //! * **Wire form** ([`SessionSpec::to_json`]) — a complete, executable JSON
-//!   document (schema `sa-session-spec` v1) carrying the full workload
+//!   document (schema `sa-session-spec` v2) carrying the full workload
 //!   arrays. `from_json(to_json(spec))` reproduces the spec exactly, and
 //!   re-serializing yields byte-identical text, so a spec file is a stable
 //!   artifact that can be committed, diffed, and POSTed to `sa-serve`.
 //! * **Canonical form** ([`SessionSpec::canonical_json`]) — the wire form
 //!   with the large index/value arrays folded into SHA-256 digests and the
 //!   `exec` section dropped. This *is* the cache fingerprint input: the
-//!   execution knobs (`step_threads`, `node_threads`, `fast_forward`) are
-//!   excluded because the byte-identity contract proves they cannot change
-//!   the report, so a warm query matches regardless of how the cold run was
-//!   scheduled.
+//!   execution knob (`fast_forward`) is excluded because the byte-identity
+//!   contract proves it cannot change the report, so a warm query matches
+//!   regardless of how the cold run was scheduled.
 //!
 //! ```
 //! use scatter_add_repro::{SessionSpec, Workload};
@@ -47,20 +46,18 @@ use sa_core::ScatterKernel;
 /// Schema tag carried by every serialized spec.
 pub const SPEC_SCHEMA_NAME: &str = "sa-session-spec";
 
-/// Current (and only) spec schema version.
-pub const SPEC_SCHEMA_VERSION: u64 = 1;
+/// Current spec schema version. Version 1 also carried the two removed
+/// per-cycle stepping widths in its exec section; such documents are
+/// rejected with an error naming the version, never silently reinterpreted.
+pub const SPEC_SCHEMA_VERSION: u64 = 2;
 
 /// Execution knobs: how a run is scheduled on the host, never what it
-/// computes. The byte-identity contract (see `docs/PARALLELISM.md` and
-/// `docs/PERFORMANCE.md`) guarantees every combination produces the same
-/// report (modulo `skipped_cycles`), which is why this whole section is
-/// excluded from [`SessionSpec::canonical_json`] and hence from cache keys.
+/// computes. The byte-identity contract (see `docs/PERFORMANCE.md`)
+/// guarantees every setting produces the same report (modulo
+/// `skipped_cycles`), which is why this whole section is excluded from
+/// [`SessionSpec::canonical_json`] and hence from cache keys.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecSpec {
-    /// Phase-parallel multinode stepping width (0 = default, i.e. 1).
-    pub step_threads: usize,
-    /// Intra-node bank-lane stepping width (0 = the process-wide default).
-    pub node_threads: usize,
     /// Event-horizon fast-forward override (`None` = the process default).
     pub fast_forward: Option<bool>,
 }
@@ -118,8 +115,6 @@ impl SessionSpec {
         doc.push("telemetry", self.telemetry_json());
         doc.push("fetch", Json::Bool(self.fetch));
         let mut exec = Json::obj();
-        exec.push("step_threads", Json::UInt(self.exec.step_threads as u64));
-        exec.push("node_threads", Json::UInt(self.exec.node_threads as u64));
         exec.push(
             "fast_forward",
             Json::Str(
@@ -212,8 +207,6 @@ impl SessionSpec {
         let fetch = top.bool("fetch")?;
         let mut exec = Reader::new("exec", top.get("exec")?)?;
         let exec_spec = ExecSpec {
-            step_threads: exec.usize("step_threads")?,
-            node_threads: exec.usize("node_threads")?,
             fast_forward: match exec.str("fast_forward")? {
                 "default" => None,
                 "on" => Some(true),
@@ -250,12 +243,6 @@ impl SessionSpec {
             .fetch(self.fetch);
         if let Some(plan) = &self.faults {
             b = b.faults(plan.clone());
-        }
-        if self.exec.step_threads > 0 {
-            b = b.step_threads(self.exec.step_threads);
-        }
-        if self.exec.node_threads > 0 {
-            b = b.node_threads(self.exec.node_threads);
         }
         if let Some(ff) = self.exec.fast_forward {
             b = b.fast_forward(ff);
@@ -552,8 +539,6 @@ mod tests {
         };
         spec.probe_interval = 512;
         spec.exec = ExecSpec {
-            step_threads: 3,
-            node_threads: 2,
             fast_forward: Some(false),
         };
         spec
@@ -588,8 +573,6 @@ mod tests {
         b.exec = ExecSpec::default();
         assert_ne!(a.to_json().to_string_compact(), {
             b.exec = ExecSpec {
-                step_threads: 7,
-                node_threads: 5,
                 fast_forward: Some(true),
             };
             b.to_json().to_string_compact()
@@ -624,7 +607,10 @@ mod tests {
             .contains("unknown field 'surprise'"));
 
         let text = good.to_string_compact();
-        let wrong_version = text.replace("\"version\":1", "\"version\":99");
+        let wrong_version = text.replace(
+            &format!("\"version\":{SPEC_SCHEMA_VERSION}"),
+            "\"version\":99",
+        );
         assert!(
             SessionSpec::from_json(&Json::parse(&wrong_version).unwrap())
                 .unwrap_err()

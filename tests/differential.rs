@@ -149,52 +149,17 @@ fn software_baselines_agree_exactly_on_integer_streams() {
     assert_eq!(runs[0].1, oracle, "{} vs oracle", runs[0].0);
 }
 
-/// Classify a uniform histogram run of `n` scatters into `range` words the
-/// way the bottleneck engine does: merged counters through the metrics
-/// registry, then `bottleneck_json` over the assembled document.
-fn bottleneck_bound(range: u64, n: u64) -> String {
-    use sa_telemetry::{bottleneck_json, Json, MetricsRegistry};
-    let mut rng = Rng64::new(0xF11B_0001);
-    let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(range)).collect());
-    let run = drive_scatter(&machine(), &kernel, false);
-    let mut reg = MetricsRegistry::new();
-    {
-        let mut scope = reg.scope("run");
-        run.node.record_metrics(&mut scope);
-        scope.counter("cycles", run.drain_cycles);
-    }
-    let mut doc = Json::obj();
-    doc.push("metrics", reg.to_json());
-    let section = bottleneck_json(&doc).expect("occupancy counters present");
-    section
-        .get("run")
-        .and_then(|r| r.get("bound"))
-        .and_then(Json::as_str)
-        .expect("classified")
-        .to_owned()
-}
-
-#[test]
-fn bottleneck_bound_flips_with_index_range_like_fig8() {
-    // The differential behind Figures 7/8: a narrow index range keeps the
-    // working set inside the combining store — throughput is limited by the
-    // scatter-add units themselves — while a very wide range defeats
-    // combining and turns the run into streaming DRAM traffic. The engine's
-    // dominant-resource classification must flip accordingly.
-    assert_eq!(bottleneck_bound(256, 4096), "comb_store");
-    assert_eq!(bottleneck_bound(1 << 20, 4096), "dram_bandwidth");
-}
-
-/// The full v5 bottleneck section (not just the bound) for a histogram run
-/// over `range`-wide indices under a given lane width and scheduler.
-fn bottleneck_report(range: u64, n: u64, threads: usize, ff: bool) -> String {
+/// The v5 bottleneck section of a uniform histogram run of `n` scatters
+/// (drawn from `seed`) into `range` words, assembled the way the bottleneck
+/// engine does: merged counters through the metrics registry, then
+/// `bottleneck_json` over the assembled document.
+fn bottleneck_section(seed: u64, range: u64, n: u64, fast_forward: bool) -> sa_telemetry::Json {
     use sa_core::{drive_scatter_with, NodeMemSys};
     use sa_telemetry::{bottleneck_json, validate_bottleneck_json, Json, MetricsRegistry};
-    let mut rng = Rng64::new(0xF11B_0002);
+    let mut rng = Rng64::new(seed);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(range)).collect());
     let mut node = NodeMemSys::new(machine(), 0, false);
-    node.set_fast_forward(ff);
-    node.set_node_threads(threads);
+    node.set_fast_forward(fast_forward);
     let run = drive_scatter_with(node, &kernel, false);
     let mut reg = MetricsRegistry::new();
     {
@@ -206,23 +171,40 @@ fn bottleneck_report(range: u64, n: u64, threads: usize, ff: bool) -> String {
     doc.push("metrics", reg.to_json());
     let section = bottleneck_json(&doc).expect("occupancy counters present");
     validate_bottleneck_json(&section).expect("valid bottleneck section");
-    section.to_string_pretty()
+    section
+}
+
+#[test]
+fn bottleneck_bound_flips_with_index_range_like_fig8() {
+    // The differential behind Figures 7/8: a narrow index range keeps the
+    // working set inside the combining store — throughput is limited by the
+    // scatter-add units themselves — while a very wide range defeats
+    // combining and turns the run into streaming DRAM traffic. The engine's
+    // dominant-resource classification must flip accordingly.
+    for (range, bound) in [(256u64, "comb_store"), (1 << 20, "dram_bandwidth")] {
+        let section = bottleneck_section(0xF11B_0001, range, 4096, true);
+        let classified = section
+            .get("run")
+            .and_then(|r| r.get("bound"))
+            .and_then(sa_telemetry::Json::as_str);
+        assert_eq!(classified, Some(bound), "range={range}");
+    }
 }
 
 #[test]
 fn epoch_lookahead_and_per_cycle_barrier_agree_on_bottleneck_reports() {
-    // The epoch scheduler batches whole idle windows between two barriers
-    // while fast-forward off re-arbitrates every cycle; both must attribute
-    // the run to the same resource with the same occupancy shares, whether
-    // the combining store or DRAM bandwidth is the limiter.
+    // Fast-forward looks ahead to the next event and skips whole idle
+    // windows, while fast-forward off steps and re-arbitrates every cycle;
+    // both must attribute the run to the same resource with the same
+    // occupancy shares, whether the combining store or DRAM bandwidth is
+    // the limiter.
     for (range, n) in [(256u64, 4096u64), (1 << 20, 4096)] {
-        let barrier = bottleneck_report(range, n, 4, false);
-        let epoch = bottleneck_report(range, n, 4, true);
-        assert_eq!(barrier, epoch, "range={range}");
+        let per_cycle = bottleneck_section(0xF11B_0002, range, n, false);
+        let lookahead = bottleneck_section(0xF11B_0002, range, n, true);
         assert_eq!(
-            barrier,
-            bottleneck_report(range, n, 1, false),
-            "range={range}: lane width changed the report"
+            per_cycle.to_string_pretty(),
+            lookahead.to_string_pretty(),
+            "range={range}: fast-forward changed the report"
         );
     }
 }

@@ -1,9 +1,9 @@
 //! The `SessionSpec` wire-form contract: for any session a builder chain
 //! can express, serializing to JSON and parsing back is lossless (down to
 //! re-serialized bytes), the spec's fingerprint equals the builder chain's,
-//! and the execution knobs (`--jobs` is sweep-only; `--step-threads`,
-//! `--node-threads`, `--fast-forward` here) never reach the fingerprint —
-//! the cache key names *what* is simulated, not *how fast*.
+//! and the execution knobs (`--jobs` is sweep-only; `--fast-forward` here)
+//! never reach the fingerprint — the cache key names *what* is simulated,
+//! not *how fast*.
 
 use proptest::prelude::*;
 
@@ -46,21 +46,9 @@ fn assert_fingerprint_contract(spec: &SessionSpec) {
         from_spec, from_builder,
         "spec and builder-chain fingerprints must agree"
     );
-    for exec in [
-        ExecSpec::default(),
-        ExecSpec {
-            step_threads: 4,
-            node_threads: 2,
-            fast_forward: Some(false),
-        },
-        ExecSpec {
-            step_threads: 1,
-            node_threads: 8,
-            fast_forward: Some(true),
-        },
-    ] {
+    for fast_forward in [None, Some(false), Some(true)] {
         let mut variant = spec.clone();
-        variant.exec = exec;
+        variant.exec = ExecSpec { fast_forward };
         assert_eq!(
             variant.fingerprint().digest(),
             from_spec,
@@ -190,7 +178,7 @@ fn spec_sessions_run_like_builder_sessions() {
             base_word: 0,
             indices: indices.clone(),
         })
-        .step_threads(2)
+        .fast_forward(false)
         .build()
         .expect("valid")
         .run();
@@ -199,7 +187,7 @@ fn spec_sessions_run_like_builder_sessions() {
             base_word: 0,
             indices,
         })
-        .step_threads(2)
+        .fast_forward(false)
         .build()
         .expect("valid");
     let spec = session.spec();
@@ -209,5 +197,27 @@ fn spec_sessions_run_like_builder_sessions() {
         from_builder.to_json().to_string_compact(),
         from_spec.to_json().to_string_compact(),
         "reports must serialize byte-identically"
+    );
+}
+
+/// A version-1 document — the schema whose exec section still carried the
+/// removed per-cycle stepping widths — is rejected with an error naming the
+/// version, never reinterpreted as the current schema.
+#[test]
+fn version_one_specs_are_rejected() {
+    let spec = SessionSpec::new(Workload::Histogram {
+        base_word: 0,
+        indices: vec![1, 2, 3],
+    });
+    let current = format!("\"version\":{}", scatter_add_repro::SPEC_SCHEMA_VERSION);
+    let v1 = spec
+        .to_json()
+        .to_string_compact()
+        .replace(&current, "\"version\":1");
+    assert!(v1.contains("\"version\":1"), "{v1}");
+    let e = SessionSpec::from_json(&Json::parse(&v1).expect("valid JSON")).unwrap_err();
+    assert!(
+        e.contains("version is 1"),
+        "error must name the version: {e}"
     );
 }
