@@ -13,7 +13,8 @@
 //! Machine flags (all subcommands): `--banks`, `--cs`, `--fu`, `--ag-width`,
 //! `--line-bytes`, `--cache-kb`. Workload flags: `--n`, `--range`,
 //! `--seed`, `--skew` (Zipf exponent; 0 = uniform). Any other flag outside
-//! the shared run-control set prints usage and exits 2.
+//! the shared run-control set prints usage and exits 2, as does a malformed
+//! value or a machine that cannot be built (`MachineConfig::validate`).
 
 use sa_apps::histogram::{run_hw, run_privatization_default, run_sort_scan, HistogramInput};
 use sa_bench::args::Args;
@@ -31,7 +32,8 @@ fn machine_from(args: &Args) -> Result<MachineConfig, Box<dyn std::error::Error>
     cfg.ag.width = args.get_or("ag-width", cfg.ag.width)?;
     cfg.cache.line_bytes = args.get_or("line-bytes", cfg.cache.line_bytes)?;
     let cache_kb: u64 = args.get_or("cache-kb", cfg.cache.total_bytes >> 10)?;
-    cfg.cache.total_bytes = cache_kb << 10;
+    cfg.cache.total_bytes = cache_kb.saturating_mul(1 << 10);
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -223,8 +225,6 @@ fn main() {
         }
     };
     if let Err(e) = result {
-        eprintln!("error: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(1);
+        sa_bench::usage_error(&e.to_string(), &format!("{USAGE}\n"));
     }
 }

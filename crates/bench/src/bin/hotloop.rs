@@ -19,7 +19,7 @@
 //! perf-trajectory ledger `bench/history/trajectory.ndjson`; inspect it
 //! with `analyze trend`.
 //!
-//! Four workloads cover the simulator's distinct hot loops:
+//! Five workloads cover the simulator's distinct hot loops:
 //!
 //! * `histogram-fig6` — Figure 6's histogram on the executor path;
 //! * `spmv-ebe` — the EBE sparse matrix-vector product;
@@ -29,7 +29,11 @@
 //! * `rig-stall` — the sensitivity rig at 400-cycle memory latency and a
 //!   1-in-8-cycle memory interval: a memory-stall-dominated shape where
 //!   almost every cycle is provably idle, so fast-forward must win big
-//!   (the acceptance floor is 2x).
+//!   (the acceptance floor is 2x);
+//! * `mn-comb` — Figure 13's shape: a wide trace over 8 nodes on the low
+//!   network with cache combining. The timing includes building the nodes,
+//!   so it tracks the per-node construction cost as well as the multinode
+//!   loop and the crossbar.
 //!
 //! Both modes must report identical simulated cycle counts — the binary
 //! asserts it — so the comparison isolates pure wall-clock cost. Baseline
@@ -61,7 +65,8 @@ use sa_bench::sweep::{self, CachedPoint};
 use sa_bench::{header, quick_mode, row};
 use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel, SensitivityRig};
 use sa_memo::{Fingerprint, ResultCache};
-use sa_sim::{MachineConfig, Rng64, SensitivityConfig};
+use sa_multinode::MultiNode;
+use sa_sim::{MachineConfig, NetworkConfig, Rng64, SensitivityConfig};
 use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRecorder, Progress};
 
 struct Workload {
@@ -83,6 +88,10 @@ fn workloads(quick: bool) -> Vec<Workload> {
     let rig_n = if quick { 4096 } else { 16_384 };
     let mut rng = Rng64::new(0x407_1007);
     let rig_idx: Vec<u64> = (0..rig_n).map(|_| rng.below(512)).collect();
+    let mn_n = if quick { 2048 } else { 16_384 };
+    let mut rng = Rng64::new(0xF16_0013);
+    let wide: Vec<u64> = (0..mn_n).map(|_| rng.below(1 << 20)).collect();
+    let ones = vec![1.0f64; mn_n];
     vec![
         Workload {
             name: "histogram-fig6",
@@ -106,6 +115,14 @@ fn workloads(quick: bool) -> Vec<Workload> {
                     mem_interval: 8,
                 });
                 rig.run_histogram(&rig_idx, 512).cycles
+            }),
+        },
+        Workload {
+            name: "mn-comb",
+            run: Box::new(move || {
+                MultiNode::new(cfg, 8, NetworkConfig::low(), true)
+                    .run_trace(&wide, &ones)
+                    .cycles
             }),
         },
     ]

@@ -1,8 +1,8 @@
 //! The closed flag set at the binary level: removed and misspelled flags
 //! fail loudly with usage (exit 2) instead of being silently ignored,
-//! `serve --help` prints usage without binding a socket, and hostile JSON
-//! (a version-1 job spec, nesting far past any stack) is an error, never an
-//! abort.
+//! `serve --help` prints usage without binding a socket, and hostile input
+//! (a version-1 job spec, nesting far past any stack, a machine that cannot
+//! be built) is an error, never a panic or an abort.
 
 use std::process::{Command, Output};
 
@@ -150,4 +150,70 @@ fn deeply_nested_json_is_rejected_not_fatal() {
     assert_eq!(health.status, 200);
     server.shutdown();
     server.join();
+}
+
+/// A machine that cannot be built (a zero divisor or capacity, a line that
+/// is not whole words, no whole set per bank, a cache past the size cap)
+/// used to panic or abort on allocation; now it exits 2 through `--spec`
+/// and answers 400 from the daemon.
+#[test]
+fn unbuildable_machine_specs_are_usage_errors_and_400s() {
+    use sa_sim::MachineConfig;
+    type Edit = fn(&mut MachineConfig);
+    let cases: [(&str, Edit); 14] = [
+        ("cache.banks", |c| c.cache.banks = 0),
+        ("cache.ways", |c| c.cache.ways = 0),
+        ("cache.line_bytes", |c| c.cache.line_bytes = 0),
+        ("cache.line_bytes", |c| c.cache.line_bytes = 12),
+        ("cache.mshrs_per_bank", |c| c.cache.mshrs_per_bank = 0),
+        ("cache.total_bytes", |c| c.cache.total_bytes = 1 << 40),
+        ("no whole set", |c| c.cache.total_bytes = 512),
+        ("dram.channels", |c| c.dram.channels = 0),
+        ("dram.banks_per_channel", |c| c.dram.banks_per_channel = 0),
+        ("dram.row_bytes", |c| c.dram.row_bytes = 0),
+        ("dram.queue_depth", |c| c.dram.queue_depth = 0),
+        ("sa.cs_entries", |c| c.sa.cs_entries = 0),
+        ("ag.count", |c| c.ag.count = 0),
+        ("ag.width", |c| c.ag.width = 0),
+    ];
+    let server =
+        sa_serve::Server::bind("127.0.0.1:0", sa_serve::ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    for (i, (what, edit)) in cases.into_iter().enumerate() {
+        let mut spec =
+            scatter_add_repro::SessionSpec::new(scatter_add_repro::Workload::Histogram {
+                base_word: 0,
+                indices: vec![28, 2, 459],
+            });
+        edit(&mut spec.config);
+        let text = spec.to_json().to_string_compact();
+        let path = temp_file(&format!("machine{i}"), &text);
+        let out = run(
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--spec", path.to_str().expect("utf-8 path")],
+        );
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        assert!(stderr.contains(what), "{what}: {stderr}");
+
+        let resp = sa_serve::client::submit(&addr, &text, "", None).expect("submit");
+        assert_eq!(resp.status, 400, "{what}: {}", resp.body);
+        assert!(resp.body.contains(what), "{what}: {}", resp.body);
+    }
+    let health = sa_serve::client::health(&addr).expect("daemon still up");
+    assert_eq!(health.status, 200);
+    server.shutdown();
+    server.join();
+
+    // explore's machine flags go through the same check.
+    for args in [
+        ["scatter", "--line-bytes", "12"],
+        ["scatter", "--cache-kb", "0"],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_explore"), &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
 }

@@ -131,14 +131,16 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Debug)]
+/// Metadata of one cache line. The line's words live in the bank's arena at
+/// `slot` (see [`CacheBank::words`]); 0 means no storage yet.
+#[derive(Copy, Clone, Debug, Default)]
 struct Line {
     valid: bool,
     dirty: bool,
     partial_sum: bool,
     tag: u64,
     lru: u64,
-    data: Vec<u64>,
+    slot: u32,
 }
 
 /// One deferred access waiting on a line fill. Targets replay strictly in
@@ -171,7 +173,15 @@ pub struct CacheBank {
     cfg: CacheConfig,
     node: usize,
     bank_index: usize,
-    sets: Vec<Vec<Line>>,
+    /// Words per line, cached from `cfg`.
+    words: usize,
+    /// Line metadata, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    /// Word arena. A line gets a `words`-word slot the first time it becomes
+    /// valid and keeps it for life (eviction hands it to the next occupant),
+    /// so the arena grows with the lines a run touches, never past the
+    /// bank's capacity, and installs never allocate per line.
+    data: Vec<u64>,
     mshrs: Vec<Mshr>,
     /// Line base → index into `mshrs`. Line bases are unique across MSHRs by
     /// construction, and every access probes this on the miss path, so the
@@ -197,26 +207,14 @@ impl CacheBank {
     /// Create bank `bank_index` of node `node` with geometry from `cfg`.
     pub fn new(cfg: CacheConfig, node: usize, bank_index: usize) -> CacheBank {
         assert!(bank_index < cfg.banks, "bank index out of range");
-        let ways = cfg.ways;
-        let words = cfg.words_per_line() as usize;
-        let sets = (0..cfg.sets_per_bank())
-            .map(|_| {
-                (0..ways)
-                    .map(|_| Line {
-                        valid: false,
-                        dirty: false,
-                        partial_sum: false,
-                        tag: 0,
-                        lru: 0,
-                        data: vec![0; words],
-                    })
-                    .collect()
-            })
-            .collect();
+        let lines = cfg.sets_per_bank() * cfg.ways as u64;
+        assert!(u32::try_from(lines).is_ok(), "too many lines per bank");
         CacheBank {
             node,
             bank_index,
-            sets,
+            words: cfg.words_per_line() as usize,
+            lines: vec![Line::default(); lines as usize],
+            data: Vec::new(),
             mshrs: Vec::with_capacity(cfg.mshrs_per_bank),
             mshr_lookup: FxHashMap::default(),
             mem_out: BoundedQueue::new(cfg.mshrs_per_bank * 2),
@@ -288,40 +286,82 @@ impl CacheBank {
         addr.line_base(self.cfg.line_bytes)
     }
 
-    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        self.sets[set].iter().position(|l| l.valid && l.tag == tag)
+    /// Index into `lines` of the first way of `set`.
+    fn set_start(&self, set: usize) -> usize {
+        set * self.cfg.ways
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    /// The resident line holding `tag` in `set`, as an index into `lines`.
+    fn find_line(&self, set: usize, tag: u64) -> Option<usize> {
+        let start = self.set_start(set);
+        self.lines[start..start + self.cfg.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+            .map(|way| start + way)
+    }
+
+    fn touch(&mut self, line: usize) {
         self.lru_tick += 1;
-        self.sets[set][way].lru = self.lru_tick;
+        self.lines[line].lru = self.lru_tick;
     }
 
-    fn line_base_from_parts(&self, _set: usize, tag: u64) -> Addr {
+    fn line_base(&self, tag: u64) -> Addr {
         Addr(tag * self.cfg.line_bytes)
     }
 
-    /// Pick a victim way and evict it if needed. Returns the way on success,
-    /// or `None` when eviction is blocked (the write-back queue is full).
-    fn make_room(&mut self, set: usize) -> Option<usize> {
-        if let Some(way) = self.sets[set].iter().position(|l| !l.valid) {
-            return Some(way);
+    /// The words of `line`, which must have a slot (every valid line has).
+    fn words(&self, line: usize) -> &[u64] {
+        let start = (self.lines[line].slot as usize - 1) * self.words;
+        &self.data[start..start + self.words]
+    }
+
+    /// The words of `line`, giving it a slot at the end of the arena on
+    /// first use. A slot is never returned, so its words hold whatever the
+    /// previous occupant left: every install overwrites all of them.
+    fn words_mut(&mut self, line: usize) -> &mut [u64] {
+        if self.lines[line].slot == 0 {
+            self.data.resize(self.data.len() + self.words, 0);
+            self.lines[line].slot = (self.data.len() / self.words) as u32;
         }
-        let way = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(i, _)| i)
-            .expect("ways > 0");
-        let (dirty, partial) = {
-            let l = &self.sets[set][way];
-            (l.dirty, l.partial_sum)
-        };
+        let start = (self.lines[line].slot as usize - 1) * self.words;
+        &mut self.data[start..start + self.words]
+    }
+
+    /// Mark `line` valid with `tag`, clean, and not a partial-sum line.
+    fn install(&mut self, line: usize, tag: u64) {
+        let l = &mut self.lines[line];
+        l.valid = true;
+        l.dirty = false;
+        l.partial_sum = false;
+        l.tag = tag;
+    }
+
+    /// Pick a victim line in `set` and evict it if needed. Returns its index
+    /// into `lines` on success, or `None` when eviction is blocked (the
+    /// write-back queue is full).
+    fn make_room(&mut self, set: usize) -> Option<usize> {
+        let start = self.set_start(set);
+        let ways = &self.lines[start..start + self.cfg.ways];
+        if let Some(way) = ways.iter().position(|l| !l.valid) {
+            return Some(start + way);
+        }
+        let line = start
+            + ways
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.lru)
+                .map(|(i, _)| i)
+                .expect("ways > 0");
+        let Line {
+            dirty,
+            partial_sum,
+            tag,
+            ..
+        } = self.lines[line];
         if dirty {
-            let tag = self.sets[set][way].tag;
-            let base = self.line_base_from_parts(set, tag);
-            if partial {
-                let data = self.sets[set][way].data.clone();
+            let base = self.line_base(tag);
+            if partial_sum {
+                let data = self.words(line).to_vec();
                 self.sum_backs.push_back(SumBack { base, data });
                 self.stats.sum_backs += 1;
             } else {
@@ -329,7 +369,7 @@ impl CacheBank {
                     return None;
                 }
                 self.next_cmd_id += 1;
-                let data = self.sets[set][way].data.clone();
+                let data = self.words(line).to_vec();
                 // Write-backs retire traffic from many past requests; no
                 // single originator to attribute.
                 let cmd = DramCommand {
@@ -348,11 +388,11 @@ impl CacheBank {
             }
         }
         self.stats.evictions += 1;
-        let l = &mut self.sets[set][way];
+        let l = &mut self.lines[line];
         l.valid = false;
         l.dirty = false;
         l.partial_sum = false;
-        Some(way)
+        Some(line)
     }
 
     /// Present one access to the bank (at most one per cycle in the base
@@ -386,12 +426,12 @@ impl CacheBank {
     fn try_access_inner(&mut self, access: CacheAccess, now: Cycle) -> Result<(), CacheAccess> {
         let (set, tag, offset) = self.locate(access.addr);
         let line_base = self.line_base_of(access.addr);
-        let hit_way = self.find_way(set, tag);
+        let hit = self.find_line(set, tag);
         match access.kind {
             AccessKind::Read { zero_alloc } => {
-                if let Some(way) = hit_way {
-                    let bits = self.sets[set][way].data[offset];
-                    self.touch(set, way);
+                if let Some(line) = hit {
+                    let bits = self.words(line)[offset];
+                    self.touch(line);
                     self.stats.read_hits += 1;
                     self.push_ready(access, bits, now);
                     return Ok(());
@@ -415,18 +455,13 @@ impl CacheBank {
                     return Ok(());
                 }
                 if zero_alloc {
-                    let Some(way) = self.make_room(set) else {
+                    let Some(line) = self.make_room(set) else {
                         self.stats.blocked += 1;
                         return Err(access);
                     };
-                    let words = self.cfg.words_per_line() as usize;
-                    let l = &mut self.sets[set][way];
-                    l.valid = true;
-                    l.dirty = false;
-                    l.partial_sum = false;
-                    l.tag = tag;
-                    l.data = vec![0; words];
-                    self.touch(set, way);
+                    self.install(line, tag);
+                    self.words_mut(line).fill(0);
+                    self.touch(line);
                     self.stats.zero_allocs += 1;
                     self.push_ready(access, 0, now);
                     return Ok(());
@@ -463,12 +498,12 @@ impl CacheBank {
                 Ok(())
             }
             AccessKind::Write { bits, partial_sum } => {
-                if let Some(way) = hit_way {
-                    let l = &mut self.sets[set][way];
-                    l.data[offset] = bits;
+                if let Some(line) = hit {
+                    self.words_mut(line)[offset] = bits;
+                    let l = &mut self.lines[line];
                     l.dirty = true;
                     l.partial_sum |= partial_sum;
-                    self.touch(set, way);
+                    self.touch(line);
                     self.stats.write_hits += 1;
                     return Ok(());
                 }
@@ -486,19 +521,18 @@ impl CacheBank {
                 if partial_sum {
                     // Combining mode always zero-allocates before summing, so
                     // a partial-sum write miss allocates its line locally.
-                    let Some(way) = self.make_room(set) else {
+                    let Some(line) = self.make_room(set) else {
                         self.stats.blocked += 1;
                         return Err(access);
                     };
-                    let words = self.cfg.words_per_line() as usize;
-                    let l = &mut self.sets[set][way];
-                    l.valid = true;
+                    self.install(line, tag);
+                    let words = self.words_mut(line);
+                    words.fill(0);
+                    words[offset] = bits;
+                    let l = &mut self.lines[line];
                     l.dirty = true;
                     l.partial_sum = true;
-                    l.tag = tag;
-                    l.data = vec![0; words];
-                    l.data[offset] = bits;
-                    self.touch(set, way);
+                    self.touch(line);
                     self.stats.zero_allocs += 1;
                     return Ok(());
                 }
@@ -598,7 +632,7 @@ impl CacheBank {
         }
         let base = resp.base;
         let (set, tag, _) = self.locate(base);
-        let Some(way) = self.make_room(set) else {
+        let Some(line) = self.make_room(set) else {
             return false; // eviction blocked on the command queue; retry next cycle
         };
         let resp = self.pending_fills.pop_front().expect("front checked");
@@ -614,21 +648,15 @@ impl CacheBank {
             .mshr_lookup
             .iter()
             .all(|(&b, &i)| self.mshrs[i].line_base.0 == b));
-        {
-            let l = &mut self.sets[set][way];
-            l.valid = true;
-            l.dirty = false;
-            l.partial_sum = false;
-            l.tag = tag;
-            l.data = resp.data;
-        }
-        self.touch(set, way);
+        self.install(line, tag);
+        self.words_mut(line).copy_from_slice(&resp.data);
+        self.touch(line);
         // Replay deferred accesses in arrival order so reads observe
         // exactly the writes that preceded them.
         for target in mshr.targets {
             match target {
                 MshrTarget::Read(id, offset, origin) => {
-                    let bits = self.sets[set][way].data[offset];
+                    let bits = self.words(line)[offset];
                     self.ready.push_back(MemResponse {
                         id,
                         addr: Addr(base.0 + (offset as u64) * WORD_BYTES),
@@ -638,8 +666,8 @@ impl CacheBank {
                     });
                 }
                 MshrTarget::Write(offset, bits, partial) => {
-                    let l = &mut self.sets[set][way];
-                    l.data[offset] = bits;
+                    self.words_mut(line)[offset] = bits;
+                    let l = &mut self.lines[line];
                     l.dirty = true;
                     l.partial_sum |= partial;
                 }
@@ -763,23 +791,19 @@ impl CacheBank {
     /// synchronization step at the end of a multi-node scatter-add (§3.2).
     pub fn flush_sum_backs(&mut self) -> Vec<SumBack> {
         let mut out = Vec::new();
-        for set in 0..self.sets.len() {
-            for way in 0..self.cfg.ways {
-                let (valid, partial) = {
-                    let l = &self.sets[set][way];
-                    (l.valid, l.partial_sum && l.dirty)
-                };
-                if valid && partial {
-                    let tag = self.sets[set][way].tag;
-                    let base = self.line_base_from_parts(set, tag);
-                    let data = self.sets[set][way].data.clone();
-                    out.push(SumBack { base, data });
-                    self.stats.sum_backs += 1;
-                    let l = &mut self.sets[set][way];
-                    l.valid = false;
-                    l.dirty = false;
-                    l.partial_sum = false;
-                }
+        for line in 0..self.lines.len() {
+            let l = self.lines[line];
+            if l.valid && l.partial_sum && l.dirty {
+                let data = self.words(line).to_vec();
+                out.push(SumBack {
+                    base: self.line_base(l.tag),
+                    data,
+                });
+                self.stats.sum_backs += 1;
+                let l = &mut self.lines[line];
+                l.valid = false;
+                l.dirty = false;
+                l.partial_sum = false;
             }
         }
         out
@@ -792,20 +816,17 @@ impl CacheBank {
     /// [`CacheBank::flush_sum_backs`], which applies scatter-add semantics).
     pub fn flush_dirty(&mut self) -> Vec<(Addr, Vec<u64>)> {
         let mut out = Vec::new();
-        for set in 0..self.sets.len() {
-            for way in 0..self.cfg.ways {
-                let l = &self.sets[set][way];
-                if !l.valid || l.partial_sum {
-                    continue;
-                }
-                let base = self.line_base_from_parts(set, l.tag);
-                if l.dirty {
-                    out.push((base, l.data.clone()));
-                }
-                let l = &mut self.sets[set][way];
-                l.valid = false;
-                l.dirty = false;
+        for line in 0..self.lines.len() {
+            let l = self.lines[line];
+            if !l.valid || l.partial_sum {
+                continue;
             }
+            if l.dirty {
+                out.push((self.line_base(l.tag), self.words(line).to_vec()));
+            }
+            let l = &mut self.lines[line];
+            l.valid = false;
+            l.dirty = false;
         }
         out
     }
@@ -841,8 +862,14 @@ impl CacheBank {
     /// Read-only probe of a resident word (for tests); `None` on miss.
     pub fn probe(&self, addr: Addr) -> Option<u64> {
         let (set, tag, offset) = self.locate(addr);
-        self.find_way(set, tag)
-            .map(|way| self.sets[set][way].data[offset])
+        self.find_line(set, tag)
+            .map(|line| self.words(line)[offset])
+    }
+
+    /// Words the line arena holds (for tests).
+    #[cfg(test)]
+    fn arena_words(&self) -> usize {
+        self.data.len()
     }
 }
 
@@ -1295,6 +1322,46 @@ mod tests {
         assert_eq!(rs.ecc_uncorrected, 1);
         let r = bank.pop_ready(now + 10).expect("read completes regardless");
         assert_eq!(r.bits, 7);
+    }
+
+    #[test]
+    fn line_arena_grows_lazily_and_stays_within_capacity() {
+        let c = cfg();
+        assert_eq!(CacheBank::new(c, 0, 0).arena_words(), 0, "fresh bank");
+        let t = tiny();
+        let cap = (t.sets_per_bank() * t.ways as u64 * t.words_per_line()) as usize;
+        let mut store = BackingStore::new();
+        let mut bank = CacheBank::new(t, 0, 0);
+        let mut now = Cycle(0);
+        // Zero-alloc reads, partial-sum write misses and fills over 32 lines
+        // of an 8-line bank: slots are handed from victim to victim.
+        for i in 0..96u64 {
+            let addr = Addr((i * 5 % 32) * t.line_bytes + (i % 4) * 8);
+            let kind = match i % 3 {
+                0 => AccessKind::Read { zero_alloc: true },
+                1 => AccessKind::Write {
+                    bits: i,
+                    partial_sum: true,
+                },
+                _ => AccessKind::Read { zero_alloc: false },
+            };
+            let access = CacheAccess {
+                id: i,
+                addr,
+                kind,
+                origin: orig(),
+            };
+            if bank.try_access(access, now).is_err() {
+                (_, now) = drain(&mut bank, &mut store, now);
+                bank.try_access(access, now).unwrap();
+            }
+            while bank.pop_sum_back().is_some() {}
+            assert!(bank.arena_words() <= cap, "arena past capacity at {i}");
+            if i % 3 == 2 {
+                (_, now) = drain(&mut bank, &mut store, now);
+            }
+        }
+        assert_eq!(bank.arena_words(), cap, "every line got a slot");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Model-checking the cache bank: arbitrary interleavings of reads, writes,
 //! fills, and evictions must behave exactly like a flat memory.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
-use sa_cache::{AccessKind, CacheAccess, CacheBank};
+use sa_cache::{AccessKind, CacheAccess, CacheBank, SumBack};
 use sa_mem::{BackingStore, DramKind, DramResponse};
 use sa_sim::{Addr, CacheConfig, Cycle, Origin};
 
@@ -144,6 +144,87 @@ proptest! {
                 store.read_word(Addr::from_word_index(w)), v,
                 "word {} diverged", w
             );
+        }
+    }
+}
+
+/// Add a sum-back's words into the per-word totals.
+fn add_sum_back(summed: &mut HashMap<u64, u64>, sb: SumBack) {
+    let first = sb.base.word_index();
+    for (j, bits) in sb.data.into_iter().enumerate() {
+        let w = summed.entry(first + j as u64).or_insert(0);
+        *w = w.wrapping_add(bits);
+    }
+}
+
+/// One combining-mode update: add `delta` to word `word`. With `bare` set
+/// and the line absent, the update is a lone partial-sum write (the write
+/// miss allocates the line); otherwise it is a zero-alloc read of the
+/// running partial sum followed by a partial-sum write of sum + delta.
+fn combining_ops() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    prop::collection::vec(((0u64..128), (1u64..1000), any::<bool>()), 1..200)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Combining mode never fetches: every word's sum-backs (evictions plus
+    /// the final flush) must add up to exactly the deltas written to it.
+    /// Thirty-two lines through an eight-line bank evict and re-install lines
+    /// constantly, so a line that inherits stale words from its storage's
+    /// previous occupant shows up as a wrong sum.
+    #[test]
+    fn combining_sum_backs_add_up_to_the_deltas(ops in combining_ops()) {
+        let cfg = tiny();
+        let mut bank = CacheBank::new(cfg, 0, 0);
+        let origin = Origin::AddrGen { node: 0, ag: 0 };
+        let mut expected = HashMap::<u64, u64>::new();
+        let mut summed = HashMap::<u64, u64>::new();
+        let mut now = Cycle(0);
+        for (i, &(word, delta, bare)) in ops.iter().enumerate() {
+            let addr = Addr::from_word_index(word);
+            let id = i as u64;
+            now += 1;
+            let bits = if bare && bank.probe(addr).is_none() {
+                delta
+            } else {
+                let read = CacheAccess {
+                    id,
+                    addr,
+                    kind: AccessKind::Read { zero_alloc: true },
+                    origin,
+                };
+                prop_assert!(bank.try_access(read, now).is_ok(), "zero-alloc read blocked");
+                now += u64::from(cfg.hit_latency);
+                let r = bank.pop_ready(now).expect("zero-alloc read completes");
+                prop_assert_eq!(r.id, id);
+                r.bits.wrapping_add(delta)
+            };
+            let write = CacheAccess {
+                id,
+                addr,
+                kind: AccessKind::Write { bits, partial_sum: true },
+                origin,
+            };
+            prop_assert!(bank.try_access(write, now).is_ok(), "partial-sum write blocked");
+            prop_assert!(!bank.has_mem_cmd(), "combining mode never touches DRAM");
+            let e = expected.entry(word).or_insert(0);
+            *e = e.wrapping_add(delta);
+            while let Some(sb) = bank.pop_sum_back() {
+                add_sum_back(&mut summed, sb);
+            }
+        }
+        for sb in bank.flush_sum_backs() {
+            add_sum_back(&mut summed, sb);
+        }
+        for (&w, &got) in &summed {
+            prop_assert_eq!(
+                got, expected.get(&w).copied().unwrap_or(0),
+                "word {} summed back wrong", w
+            );
+        }
+        for (&w, &want) in &expected {
+            prop_assert_eq!(summed.get(&w).copied(), Some(want), "word {} lost", w);
         }
     }
 }

@@ -304,29 +304,25 @@ impl DramChannel {
         if self.queue.is_empty() {
             return;
         }
-        let row_bytes = self.cfg.row_bytes;
-        let nbanks = self.cfg.banks_per_channel as u64;
-        let open_rows: Vec<Option<u64>> = self.banks.iter().map(|b| b.open_row).collect();
-        let is_hit = |addr: Addr| {
-            let stripe = addr.0 / row_bytes;
-            let bank = (stripe % nbanks) as usize;
-            let row = stripe / nbanks;
-            open_rows[bank] == Some(row)
-        };
         // First-ready: pick the oldest row-hit command, but never hop over an
         // older command whose address range overlaps (that reordering would
         // let a fill read stale data past a pending write, or vice versa).
+        let span = |cmd: &DramCommand| (cmd.base.0, cmd.base.0 + u64::from(cmd.words) * 8);
         let mut chosen = 0usize;
-        let mut older: Vec<(u64, u64)> = Vec::new();
         for (i, (cmd, _)) in self.queue.iter().enumerate() {
-            let lo = cmd.base.0;
-            let hi = lo + u64::from(cmd.words) * 8;
-            let conflicts = older.iter().any(|&(a, b)| lo < b && a < hi);
-            if is_hit(cmd.base) && !conflicts {
+            let (bank, row) = self.bank_and_row(cmd.base);
+            if self.banks[bank].open_row != Some(row) {
+                continue;
+            }
+            let (lo, hi) = span(cmd);
+            let conflicts = self.queue.iter().take(i).any(|(older, _)| {
+                let (a, b) = span(older);
+                lo < b && a < hi
+            });
+            if !conflicts {
                 chosen = i;
                 break;
             }
-            older.push((lo, hi));
         }
         let (cmd, submitted_at) = self.queue.take_at(chosen).expect("queue non-empty");
         let (bank, row) = self.bank_and_row(cmd.base);

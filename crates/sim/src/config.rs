@@ -429,6 +429,20 @@ impl Default for NetworkConfig {
     }
 }
 
+/// Largest stream cache [`MachineConfig::validate`] accepts, per node:
+/// 64 MiB, 16× the largest point of the cache-capacity ablation. A bank
+/// keeps metadata for every line of its capacity from the start (only line
+/// data grows lazily), so an unbounded capacity could exhaust host memory
+/// before the first cycle.
+pub const MAX_CACHE_BYTES: u64 = 64 << 20;
+
+/// Largest count [`MachineConfig::validate`] accepts for any replicated
+/// structure (cache banks, MSHRs, combining-store entries, DRAM channels,
+/// DRAM banks, queue depths, address generators), 32× the largest machine
+/// count any experiment uses (ablate's 32 combining-store entries). Each of
+/// these is preallocated when a node is built.
+pub const MAX_UNITS: usize = 1024;
+
 /// Full single-node machine description.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct MachineConfig {
@@ -466,6 +480,60 @@ impl MachineConfig {
             compute: ComputeConfig::default(),
             req_sample: 0,
         }
+    }
+
+    /// Check that a node can be built from this configuration and will make
+    /// progress: every divisor and capacity is positive and bounded, lines
+    /// are whole words, and each cache bank gets at least one whole set.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        let units = [
+            ("cache.banks", self.cache.banks),
+            ("cache.ways", self.cache.ways),
+            ("cache.mshrs_per_bank", self.cache.mshrs_per_bank),
+            ("sa.cs_entries", self.sa.cs_entries),
+            ("dram.channels", self.dram.channels),
+            ("dram.banks_per_channel", self.dram.banks_per_channel),
+            ("dram.queue_depth", self.dram.queue_depth),
+            ("ag.count", self.ag.count),
+        ];
+        for (name, v) in units {
+            if !(1..=MAX_UNITS).contains(&v) {
+                return Err(format!(
+                    "config: {name} must be in 1..={MAX_UNITS}, got {v}"
+                ));
+            }
+        }
+        if self.ag.width == 0 {
+            return Err("config: ag.width must be positive".into());
+        }
+        if self.dram.row_bytes == 0 {
+            return Err("config: dram.row_bytes must be positive".into());
+        }
+        let c = &self.cache;
+        if c.line_bytes == 0 || !c.line_bytes.is_multiple_of(WORD_BYTES) {
+            return Err(format!(
+                "config: cache.line_bytes must be a positive multiple of {WORD_BYTES}, got {}",
+                c.line_bytes
+            ));
+        }
+        if c.total_bytes > MAX_CACHE_BYTES {
+            return Err(format!(
+                "config: cache.total_bytes must be at most {MAX_CACHE_BYTES}, got {}",
+                c.total_bytes
+            ));
+        }
+        if c.sets_per_bank() == 0 {
+            return Err(format!(
+                "config: cache.total_bytes {} gives no whole set per bank \
+                 ({} banks x {} ways x {} B lines)",
+                c.total_bytes, c.banks, c.ways, c.line_bytes
+            ));
+        }
+        Ok(())
     }
 
     /// Stream-cache bandwidth in GB/s (banks × 1 word/cycle).
@@ -560,7 +628,8 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns a description of the first missing, mistyped, out-of-range,
-    /// or unknown key.
+    /// or unknown key, or of the first [`validate`](Self::validate) rule the
+    /// configuration breaks.
     pub fn from_fingerprint_json(doc: &sa_telemetry::Json) -> Result<MachineConfig, String> {
         let mut f = FieldReader::new("config", doc)?;
         let rate_words = f.u32("dram.channel_rate.words")?;
@@ -607,6 +676,7 @@ impl MachineConfig {
             req_sample: f.u64("req_sample")?,
         };
         f.finish()?;
+        cfg.validate()?;
         Ok(cfg)
     }
 }
@@ -763,6 +833,65 @@ mod tests {
         let covered: std::collections::HashSet<usize> =
             (0..16).map(|l| d.channel_of_line(l)).collect();
         assert_eq!(covered.len(), 16, "16 consecutive lines hit 16 channels");
+    }
+
+    /// Merrimac with one edit applied.
+    fn edited(edit: impl Fn(&mut MachineConfig)) -> MachineConfig {
+        let mut m = MachineConfig::merrimac();
+        edit(&mut m);
+        m
+    }
+
+    #[test]
+    fn shipped_machines_validate() {
+        // Table 1 (explore's default) and every point ablate sweeps.
+        let mut points = vec![MachineConfig::merrimac()];
+        points.extend([1, 2, 4, 8, 16, 32].map(|v| edited(|m| m.sa.cs_entries = v)));
+        points.extend([1, 2, 4, 8, 16].map(|v| edited(|m| m.cache.banks = v)));
+        points.extend([1, 2, 4, 8, 16].map(|v| edited(|m| m.sa.fu_latency = v)));
+        points.extend([1, 2, 4, 8].map(|v| edited(|m| m.ag.width = v)));
+        points
+            .extend([64u64, 256, 1024, 4096].map(|kb| edited(|m| m.cache.total_bytes = kb << 10)));
+        for p in points {
+            assert_eq!(p.validate(), Ok(()), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn unbuildable_machines_are_rejected() {
+        type Edit = fn(&mut MachineConfig);
+        let bad: [(&str, Edit); 15] = [
+            ("cache.banks", |m| m.cache.banks = 0),
+            ("cache.ways", |m| m.cache.ways = 0),
+            ("cache.line_bytes", |m| m.cache.line_bytes = 0),
+            ("cache.line_bytes", |m| m.cache.line_bytes = 12),
+            ("cache.mshrs_per_bank", |m| m.cache.mshrs_per_bank = 0),
+            ("cache.mshrs_per_bank", |m| m.cache.mshrs_per_bank = 1 << 40),
+            ("cache.total_bytes", |m| m.cache.total_bytes = 1 << 40),
+            ("no whole set", |m| m.cache.total_bytes = 512),
+            ("sa.cs_entries", |m| m.sa.cs_entries = 0),
+            ("dram.channels", |m| m.dram.channels = 0),
+            ("dram.banks_per_channel", |m| m.dram.banks_per_channel = 0),
+            ("dram.row_bytes", |m| m.dram.row_bytes = 0),
+            ("dram.queue_depth", |m| m.dram.queue_depth = 0),
+            ("ag.count", |m| m.ag.count = 0),
+            ("ag.width", |m| m.ag.width = 0),
+        ];
+        for (what, edit) in bad {
+            let cfg = edited(edit);
+            let err = cfg.validate().expect_err(what);
+            assert!(err.contains(what), "{what}: {err}");
+            // The spec reader applies the same rules.
+            assert_eq!(
+                MachineConfig::from_fingerprint_json(&cfg.fingerprint_json()),
+                Err(err)
+            );
+        }
+        let m = MachineConfig::merrimac();
+        assert_eq!(
+            MachineConfig::from_fingerprint_json(&m.fingerprint_json()),
+            Ok(m)
+        );
     }
 
     #[test]

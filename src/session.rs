@@ -551,11 +551,14 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem: no workload, an empty
-    /// machine, mismatched trace/values lengths, a zero node count, or a
+    /// Returns a description of the first problem: no workload, a machine
+    /// that cannot be built ([`MachineConfig::validate`]), an empty
+    /// workload, mismatched trace/values lengths, a zero node count, or a
     /// non-power-of-two hypercube.
     pub fn build(self) -> Result<Session, String> {
         let workload = self.workload.ok_or("no workload: call .workload(..)")?;
+        let config = self.config.unwrap_or_else(MachineConfig::merrimac);
+        config.validate()?;
         match &workload {
             Workload::Histogram { indices, .. } => {
                 if indices.is_empty() {
@@ -599,7 +602,7 @@ impl SessionBuilder {
             }
         }
         Ok(Session {
-            config: self.config.unwrap_or_else(MachineConfig::merrimac),
+            config,
             workload,
             faults: self.faults,
             telemetry: self.telemetry,

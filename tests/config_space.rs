@@ -56,6 +56,7 @@ proptest! {
     ) {
         let mut rng = Rng64::new(seed);
         let indices: Vec<u64> = (0..n).map(|_| rng.below(range)).collect();
+        prop_assert_eq!(cfg.validate(), Ok(()), "the strategy stays buildable");
         let kernel = ScatterKernel::histogram(0, indices);
         let run = drive_scatter(&cfg, &kernel, false);
         let expect: Vec<i64> = scatter_reference(&kernel, range as usize)
@@ -103,6 +104,7 @@ proptest! {
         cfg.cache.targets_per_mshr = 1;
         cfg.sa.cs_entries = 1;
         cfg.ag.width = 1;
+        prop_assert_eq!(cfg.validate(), Ok(()));
         let kernel = ScatterKernel::histogram(0, vec![0; n]);
         let run = drive_scatter(&cfg, &kernel, false);
         prop_assert_eq!(run.result_i64(1)[0], n as i64);
