@@ -686,9 +686,8 @@ impl CacheBank {
             self.next_event(now).is_none_or(|t| t > now + skipped),
             "fast-forward skipped past a cache-bank event"
         );
-        self.commit_pend();
-        let (class, at_capacity) = self.occ_baseline();
-        self.stats.occ.skip(skipped, class, at_capacity);
+        self.stats = self.stats_after_skip(skipped);
+        self.pend = None;
     }
 
     /// The fill at the head of the queue carries an ECC-detected error:
@@ -850,6 +849,16 @@ impl CacheBank {
         if let Some((class, at_capacity)) = self.pend {
             s.occ.cycle(class, at_capacity);
         }
+        s
+    }
+
+    /// [`stats`](Self::stats) as they would read after folding `skipped`
+    /// slept cycles with [`skip_cycles`](Self::skip_cycles), without
+    /// mutating the bank.
+    pub fn stats_after_skip(&self, skipped: u64) -> CacheStats {
+        let mut s = self.stats();
+        let (class, at_capacity) = self.occ_baseline();
+        s.occ.skip(skipped, class, at_capacity);
         s
     }
 

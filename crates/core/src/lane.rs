@@ -13,15 +13,72 @@
 //! front phase of bank `j > i` never reads state the step phase of bank `i`
 //! writes (they are different banks), so running all fronts before all
 //! steps is byte-identical to the historical interleaved per-bank loop.
+//!
+//! Lanes and DRAM channels **sleep** while they have no work due (see
+//! docs/PERFORMANCE.md, "Component sleep"). Each carries a [`Sleep`]
+//! record: the node tick count its per-cycle accounting covers and the
+//! cycle it next must tick. A node tick runs only the components due at
+//! that cycle. The cycles a component slept through are folded into its
+//! time-weighted counters exactly once, through the same skip functions
+//! the node-level fast-forward uses, right before anything changes its
+//! state ("fold before mutate"); every such change also lowers its wake
+//! cycle ("wake on touch").
 
 use std::collections::VecDeque;
 
-use sa_cache::{AccessKind, CacheAccess, CacheBank};
-use sa_mem::DramChannel;
+use sa_cache::{AccessKind, CacheAccess, CacheBank, CacheStats};
+use sa_mem::{DramChannel, DramCommand, DramStats};
 use sa_sim::{Addr, BoundedQueue, Cycle, DramConfig, MemOp, MemRequest, MemResponse, Origin};
 use sa_telemetry::{ReqStage, ReqTracer, TraceSink};
 
-use crate::unit::{ScatterAddUnit, ToMem};
+use crate::unit::{SaStats, ScatterAddUnit, ToMem};
+
+/// Sleep bookkeeping of one lane or DRAM channel.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Sleep {
+    /// The node tick count (ticked plus skipped cycles) through which the
+    /// component's per-cycle accounting is folded.
+    pub ticks: u64,
+    /// The cycle at which the component next must tick; `u64::MAX` when
+    /// only a touch from outside can give it work.
+    pub wake: u64,
+}
+
+impl Sleep {
+    /// A freshly built, idle component: nothing accounted, nothing due.
+    pub const IDLE: Sleep = Sleep {
+        ticks: 0,
+        wake: u64::MAX,
+    };
+
+    /// Whether the component must tick at cycle `t`. With fast-forward off
+    /// every component is due every cycle: the per-cycle oracle.
+    #[inline]
+    pub fn due(&self, t: u64, fast_forward: bool) -> bool {
+        !fast_forward || self.wake <= t
+    }
+
+    /// Cycles the component slept through that node tick count `ticks`
+    /// covers but its own accounting does not.
+    #[inline]
+    pub fn behind(&self, ticks: u64) -> u64 {
+        ticks - self.ticks
+    }
+
+    /// Record the component as accounted through node tick count `ticks`
+    /// (it ticked, or was folded and touched), with its own horizon `next`.
+    #[inline]
+    pub fn settle(&mut self, ticks: u64, next: Option<Cycle>) {
+        self.ticks = ticks;
+        self.wake = next.map_or(u64::MAX, Cycle::raw);
+    }
+
+    /// Make the component due at cycle `t` at the latest.
+    #[inline]
+    pub fn wake_by(&mut self, t: u64) {
+        self.wake = self.wake.min(t);
+    }
+}
 
 /// One cache bank's slice of the node: the bank, the scatter-add unit in
 /// front of it (Figure 4a), and the bank input queue.
@@ -37,6 +94,78 @@ pub(crate) struct BankLane {
     pub bank_in: BoundedQueue<MemRequest>,
     /// Round-robin state of the cache-port arbiter (unit vs bypass).
     pub rr_sa_first: bool,
+    /// When the lane was last accounted and when it next must tick.
+    pub sleep: Sleep,
+}
+
+impl BankLane {
+    /// Fold the cycles this lane slept through into its unit, bank and
+    /// input queue, bringing its accounting to node tick count `ticks` at
+    /// cycle `now`. Call before anything changes the lane's state.
+    pub fn fold_to(&mut self, ticks: u64, now: u64) {
+        let k = self.sleep.behind(ticks);
+        if k > 0 {
+            let from = Cycle(now.saturating_sub(k));
+            self.sa.skip_cycles(from, k, false);
+            self.bank.skip_cycles(from, k);
+            self.bank_in.advance(now);
+            self.sleep.ticks = ticks;
+        }
+    }
+
+    /// Earliest cycle after `now` at which a tick can change this lane:
+    /// queued bank inputs and pending scatter-add memory ops are retried
+    /// (and mutate stall counters) every cycle, so either pins it to
+    /// `now + 1`; otherwise it is the earlier of the unit's and the bank's
+    /// horizons. The unit's acknowledgement queue needs no term: every
+    /// step drains it.
+    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        if !self.bank_in.is_empty() || self.sa.peek_to_mem().is_some() {
+            return Some(now + 1);
+        }
+        match (self.sa.next_event(now), self.bank.next_event(now)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The unit's counters folded to node tick count `ticks`.
+    pub fn sa_stats(&self, ticks: u64) -> SaStats {
+        self.sa.stats_after_skip(self.sleep.behind(ticks))
+    }
+
+    /// The bank's counters folded to node tick count `ticks`.
+    pub fn cache_stats(&self, ticks: u64) -> CacheStats {
+        self.bank.stats_after_skip(self.sleep.behind(ticks))
+    }
+}
+
+/// One DRAM channel of the node with its sleep bookkeeping.
+#[derive(Debug)]
+pub(crate) struct ChannelSlot {
+    /// The channel.
+    pub dram: DramChannel,
+    /// When the channel was last accounted and when it next must tick.
+    pub sleep: Sleep,
+}
+
+impl ChannelSlot {
+    /// Fold the cycles this channel slept through into its bandwidth
+    /// bucket, busy/idle account and command queue, bringing its
+    /// accounting to node tick count `ticks` at cycle `now`. Call before
+    /// anything changes the channel's state.
+    pub fn fold_to(&mut self, ticks: u64, now: u64) {
+        let k = self.sleep.behind(ticks);
+        if k > 0 {
+            self.dram.skip_idle(Cycle(now.saturating_sub(k)), k);
+            self.sleep.ticks = ticks;
+        }
+    }
+
+    /// The channel's counters folded to node tick count `ticks`.
+    pub fn stats(&self, ticks: u64) -> DramStats {
+        self.dram.stats_after_skip(self.sleep.behind(ticks))
+    }
 }
 
 /// The node-level parameters a lane step needs, copied out so a step can
@@ -55,6 +184,8 @@ pub(crate) struct LaneParams {
     pub faults_active: bool,
     /// Watchdog threshold for fault-injected combining-store stalls.
     pub cs_timeout: u64,
+    /// DRAM geometry, for line-to-channel routing.
+    pub dram: DramConfig,
 }
 
 impl LaneParams {
@@ -83,29 +214,40 @@ pub(crate) fn retire_req<S: TraceSink>(
     }
 }
 
-/// The front (crossbar) phase of one lane for cycle `now`: fold queue time,
-/// tick the bank, and move one outgoing DRAM command toward its channel (a
-/// single conditional pop: the head stays queued when its channel is busy).
-/// Run in bank order.
+/// The front (crossbar) phase of one lane for cycle `now` (node tick count
+/// `ticks`): fold queue time, tick the bank, and move one outgoing DRAM
+/// command toward its channel (a single conditional pop: the head stays
+/// queued when its channel is busy). Run in bank order.
+///
+/// The target channel is found only *after* the bank tick: installing a
+/// fill can evict a dirty line into a write-back, and a poisoned fill
+/// launches an ECC replay, both in this same phase. The channel is folded
+/// through this cycle (its tick, if due, already ran) before the command
+/// lands, then woken.
 pub(crate) fn lane_front(
     lane: &mut BankLane,
     now: Cycle,
-    channels: &mut [DramChannel],
-    dram_cfg: DramConfig,
-    line_bytes: u64,
+    ticks: u64,
+    channels: &mut [ChannelSlot],
+    p: &LaneParams,
     req_trace: &mut ReqTracer,
 ) {
     let t = now.raw();
     lane.bank_in.advance(t);
     lane.bank.tick(now);
-    if let Some(cmd) = lane.bank.pop_mem_cmd_if(|cmd| {
-        channels[dram_cfg.channel_of_line(cmd.base.line_index(line_bytes))].can_accept()
-    }) {
+    let channel_of = |cmd: &DramCommand| p.dram.channel_of_line(cmd.base.line_index(p.line_bytes));
+    if let Some(cmd) = lane
+        .bank
+        .pop_mem_cmd_if(|cmd| channels[channel_of(cmd)].dram.can_accept())
+    {
         if let Some(rid) = cmd.req {
             req_trace.stamp(rid, ReqStage::Dram, t);
         }
-        let ch = dram_cfg.channel_of_line(cmd.base.line_index(line_bytes));
-        channels[ch].try_submit(cmd, now).expect("capacity checked");
+        let ch = &mut channels[channel_of(&cmd)];
+        ch.fold_to(ticks, t);
+        ch.dram.try_submit(cmd, now).expect("capacity checked");
+        let next = ch.dram.next_event(now);
+        ch.sleep.settle(ticks, next);
     }
 }
 
@@ -127,6 +269,7 @@ pub(crate) fn step_lane<S: TraceSink>(
         sa,
         bank_in,
         rr_sa_first,
+        ..
     } = lane;
     let b = *index;
 

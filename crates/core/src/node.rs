@@ -1,9 +1,14 @@
 //! One node's memory system: address-interleaved cache banks, a scatter-add
 //! unit in front of each bank (Figure 4a), and the DRAM channels behind them.
 //!
-//! Stepping is organized around per-bank [`lane`](crate::lane)s: every
-//! cycle runs the DRAM channels, then each lane's front phase, then each
-//! lane's step phase, all in bank order.
+//! Stepping is organized around per-bank [`lane`](crate::lane)s: a cycle
+//! runs the DRAM channels, then each lane's front phase, then each lane's
+//! step phase, all in bank order — but only the lanes and channels that
+//! have work due that cycle. The rest sleep, and the cycles they sleep
+//! through are folded into their counters lazily: before anything changes
+//! their state, and in a copy whenever statistics are read. With
+//! fast-forward off every lane and channel ticks every cycle, the
+//! per-cycle oracle the sleeping schedule is tested against.
 
 use std::collections::VecDeque;
 
@@ -15,7 +20,7 @@ use sa_sim::{
 };
 use sa_telemetry::{NullTrace, ReqStage, ReqTracer, Scope, SeriesSet, TraceSink};
 
-use crate::lane::{lane_front, step_lane, BankLane, LaneParams};
+use crate::lane::{lane_front, step_lane, BankLane, ChannelSlot, LaneParams, Sleep};
 use crate::unit::{SaStats, ScatterAddUnit};
 
 /// Depth of each bank's input queue (requests from the address generators
@@ -80,7 +85,12 @@ pub struct NodeMemSys<T: TraceSink = NullTrace> {
     combining: bool,
     /// Per-bank lanes (bank + scatter-add unit + input queue).
     lanes: Vec<BankLane>,
-    channels: Vec<DramChannel>,
+    channels: Vec<ChannelSlot>,
+    /// The last cycle ticked or skipped: the cycle the node's state is at.
+    clock: u64,
+    /// Cycles accounted so far (ticked plus skipped). Sleeping lanes and
+    /// channels fold the difference to their own [`Sleep::ticks`].
+    ticks: u64,
     store: BackingStore,
     completions: VecDeque<MemResponse>,
     /// Node count when part of a multi-node machine (`None` = standalone).
@@ -146,10 +156,14 @@ impl<T: TraceSink> NodeMemSys<T> {
                 sa: ScatterAddUnit::new(cfg.sa),
                 bank_in: BoundedQueue::new(BANK_IN_DEPTH),
                 rr_sa_first: false,
+                sleep: Sleep::IDLE,
             })
             .collect();
         let channels = (0..cfg.dram.channels)
-            .map(|_| DramChannel::new(cfg.dram))
+            .map(|_| ChannelSlot {
+                dram: DramChannel::new(cfg.dram),
+                sleep: Sleep::IDLE,
+            })
             .collect();
         let sample_interval = if T::ENABLED {
             DEFAULT_SAMPLE_INTERVAL
@@ -161,6 +175,8 @@ impl<T: TraceSink> NodeMemSys<T> {
             combining,
             lanes,
             channels,
+            clock: 0,
+            ticks: 0,
             store: BackingStore::new(),
             completions: VecDeque::new(),
             n_nodes: None,
@@ -190,7 +206,11 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// fast-forward.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         for (c, ch) in self.channels.iter_mut().enumerate() {
-            ch.set_fault_injector(plan.injector(FaultSite::DramRead, self.node as u64, c as u64));
+            ch.dram.set_fault_injector(plan.injector(
+                FaultSite::DramRead,
+                self.node as u64,
+                c as u64,
+            ));
         }
         for (b, lane) in self.lanes.iter_mut().enumerate() {
             lane.sa.set_fault_injector(plan.injector(
@@ -204,8 +224,9 @@ impl<T: TraceSink> NodeMemSys<T> {
     }
 
     /// Enable or disable event-horizon fast-forward for run loops driving
-    /// this node (wall-clock only; simulated results are identical either
-    /// way). Overrides the process-wide default for this instance.
+    /// this node, and with it the sleeping of idle lanes and DRAM channels
+    /// (wall-clock only; simulated results are identical either way).
+    /// Overrides the process-wide default for this instance.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -313,6 +334,18 @@ impl<T: TraceSink> NodeMemSys<T> {
             line_bytes: self.cfg.cache.line_bytes,
             faults_active: self.faults_active,
             cs_timeout: self.cs_timeout,
+            dram: self.cfg.dram,
+        }
+    }
+
+    /// Fold every sleeping lane and channel up to the node's clock.
+    fn fold_all(&mut self) {
+        let (ticks, now) = (self.ticks, self.clock);
+        for lane in &mut self.lanes {
+            lane.fold_to(ticks, now);
+        }
+        for ch in &mut self.channels {
+            ch.fold_to(ticks, now);
         }
     }
 
@@ -338,7 +371,10 @@ impl<T: TraceSink> NodeMemSys<T> {
             }
         }
         let bank = self.bank_of(req.addr);
-        self.lanes[bank].bank_in.try_push(req)
+        let lane = &mut self.lanes[bank];
+        lane.fold_to(self.ticks, self.clock);
+        lane.sleep.wake_by(self.clock + 1);
+        lane.bank_in.try_push(req)
     }
 
     /// [`inject`](Self::inject), recording the request's lifecycle: an
@@ -380,10 +416,30 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// in bank order. The step phase never touches the channels and bank
     /// state is lane-local, so this ordering is byte-identical to the
     /// historical interleaved per-bank loop.
+    ///
+    /// Only the lanes and channels due at `now` tick. A channel that
+    /// delivers a fill or an acknowledgement wakes its lane for this same
+    /// cycle, and a lane that submits a command wakes its channel.
     pub fn tick(&mut self, now: Cycle) {
+        let t = now.raw();
+        if t <= self.clock {
+            // The clock restarted (a new run on a reused node): account
+            // every component up to the old clock, then wake them all so
+            // their horizons are recomputed on the new time line.
+            self.fold_all();
+            for lane in &mut self.lanes {
+                lane.sleep.wake = 0;
+            }
+            for ch in &mut self.channels {
+                ch.sleep.wake = 0;
+            }
+        }
+        self.clock = t;
+        self.ticks += 1;
+        let ticks = self.ticks;
         let params = self.lane_params();
-        let line_bytes = self.cfg.cache.line_bytes;
-        let dram_cfg = self.cfg.dram;
+        let ff = self.fast_forward;
+        let prev = t.saturating_sub(1);
         let NodeMemSys {
             lanes,
             channels,
@@ -395,28 +451,39 @@ impl<T: TraceSink> NodeMemSys<T> {
         } = self;
 
         // 1. DRAM channels produce fills / acknowledgements.
-        for ch in channels.iter_mut() {
-            if let Some(resp) = ch.tick(now, store) {
+        for ch in channels.iter_mut().filter(|ch| ch.sleep.due(t, ff)) {
+            ch.fold_to(ticks - 1, prev);
+            if let Some(resp) = ch.dram.tick(now, store) {
                 match resp.origin {
-                    Origin::CacheBank { bank, .. } => lanes[bank].bank.on_mem_response(resp),
+                    Origin::CacheBank { bank, .. } => {
+                        let lane = &mut lanes[bank];
+                        lane.fold_to(ticks - 1, prev);
+                        lane.bank.on_mem_response(resp);
+                        lane.sleep.wake_by(t);
+                    }
                     other => panic!("unexpected DRAM response origin {other:?}"),
                 }
             }
+            let next = ch.dram.next_event(now);
+            ch.sleep.settle(ticks, next);
         }
 
         // 2+3. Front (crossbar) phase: bank tick + DRAM command submission.
-        for lane in lanes.iter_mut() {
-            lane_front(lane, now, channels, dram_cfg, line_bytes, req_trace);
+        for lane in lanes.iter_mut().filter(|lane| lane.sleep.due(t, ff)) {
+            lane.fold_to(ticks - 1, prev);
+            lane_front(lane, now, ticks, channels, &params, req_trace);
         }
 
         // 4-8. Lane-local step phase.
-        for lane in lanes.iter_mut() {
+        for lane in lanes.iter_mut().filter(|lane| lane.sleep.due(t, ff)) {
             step_lane(lane, now, &params, completions, req_trace, tracer);
+            let next = lane.next_event(now);
+            lane.sleep.settle(ticks, next);
         }
 
         // Occupancy sampling (off unless a sample interval is set).
-        if self.sample_interval != 0 && now.raw() >= self.next_sample {
-            self.next_sample = now.raw() + self.sample_interval;
+        if self.sample_interval != 0 && t >= self.next_sample {
+            self.next_sample = t + self.sample_interval;
             self.sample(now);
         }
     }
@@ -445,7 +512,7 @@ impl<T: TraceSink> NodeMemSys<T> {
         }
         let mut bus_words = 0u64;
         for c in 0..self.channels.len() {
-            let words = self.channels[c].stats().words_transferred;
+            let words = self.channels[c].dram.stats().words_transferred;
             let delta = words - self.last_dram_words[c];
             self.last_dram_words[c] = words;
             bus_words += delta;
@@ -490,6 +557,7 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// multi-node system forwards these to the home node.
     pub fn pop_sum_back(&mut self) -> Option<(usize, SumBack)> {
         for (b, lane) in self.lanes.iter_mut().enumerate() {
+            lane.fold_to(self.ticks, self.clock);
             if let Some(sb) = lane.bank.pop_sum_back() {
                 return Some((b, sb));
             }
@@ -500,6 +568,7 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Flush every partial-sum line from every bank — the final
     /// flush-with-sum-back synchronization step of §3.2.
     pub fn flush_sum_backs(&mut self) -> Vec<SumBack> {
+        self.fold_all();
         self.lanes
             .iter_mut()
             .flat_map(|lane| lane.bank.flush_sum_backs())
@@ -512,6 +581,7 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Partial-sum lines (combining mode) are *not* flushed here; use
     /// [`NodeMemSys::flush_sum_backs`] for those.
     pub fn flush_to_store(&mut self) {
+        self.fold_all();
         for lane in &mut self.lanes {
             for (base, data) in lane.bank.flush_dirty() {
                 self.store.write_line(base, &data);
@@ -536,7 +606,7 @@ impl<T: TraceSink> NodeMemSys<T> {
                 .lanes
                 .iter()
                 .all(|lane| lane.bank_in.is_empty() && lane.bank.is_idle() && lane.sa.is_idle())
-            && self.channels.iter().all(|c| c.is_idle())
+            && self.channels.iter().all(|c| c.dram.is_idle())
     }
 
     /// Earliest future cycle at which this node can change state on its own
@@ -546,13 +616,11 @@ impl<T: TraceSink> NodeMemSys<T> {
     /// Conservative by construction — it may report a cycle earlier than the
     /// first real state change, but never later:
     ///
-    /// * undrained completions, queued bank inputs, and pending scatter-add
-    ///   memory ops are retried (and mutate stall counters) every cycle, so
-    ///   any of them pins the horizon to `now + 1`;
-    /// * otherwise the horizon is the minimum over every scatter-add unit,
-    ///   cache bank, and DRAM channel `next_event` (the unit's
-    ///   acknowledgement queue needs no term: it is fully drained at the end
-    ///   of every tick);
+    /// * undrained completions are retried every cycle, so they pin the
+    ///   horizon to `now + 1`;
+    /// * otherwise the horizon is the earliest wake cycle over every lane
+    ///   and DRAM channel (see [`lane`](crate::lane): queued bank inputs and
+    ///   pending scatter-add memory ops keep a lane due every cycle);
     /// * when occupancy sampling is on, the horizon is clamped to the next
     ///   sample cycle so sampled series stay byte-identical under skipping.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -560,93 +628,78 @@ impl<T: TraceSink> NodeMemSys<T> {
         if !self.completions.is_empty() {
             return Some(now + 1);
         }
-        let mut horizon: Option<u64> = None;
-        let mut fold = |e: Option<Cycle>| {
-            if let Some(e) = e {
-                horizon = Some(horizon.map_or(e.raw(), |h| h.min(e.raw())));
-            }
-        };
-        for lane in &self.lanes {
-            if !lane.bank_in.is_empty() || lane.sa.peek_to_mem().is_some() {
-                return Some(now + 1);
-            }
-            fold(lane.sa.next_event(now));
-            fold(lane.bank.next_event(now));
-        }
-        for c in &self.channels {
-            fold(c.next_event(now));
-        }
+        let lanes = self.lanes.iter().map(|lane| lane.sleep.wake);
+        let channels = self.channels.iter().map(|ch| ch.sleep.wake);
+        let mut horizon = lanes.chain(channels).min().unwrap_or(u64::MAX);
         if self.sample_interval != 0 {
-            fold(Some(Cycle(self.next_sample.max(t + 1))));
+            horizon = horizon.min(self.next_sample);
         }
-        horizon.map(Cycle)
+        (horizon != u64::MAX).then(|| Cycle(horizon.max(t + 1)))
     }
 
-    /// Fold `skipped` provably-idle cycles (fast-forward) into time-weighted
-    /// statistics, keeping them byte-identical with per-cycle ticking. The
-    /// caller must have verified `now + skipped < next_event(now)` — i.e. no
-    /// component changes state and no request is retried during the window.
+    /// Skip `skipped` provably-idle cycles (fast-forward): a clock bump.
+    /// Every lane and channel is asleep through the window, so each folds
+    /// the skipped cycles into its statistics lazily, like any other slept
+    /// cycle. The caller must have verified `now + skipped <
+    /// next_event(now)` — i.e. no component changes state and no request is
+    /// retried during the window.
     pub fn skip_cycles(&mut self, now: Cycle, skipped: u64) {
         debug_assert!(
             self.next_event(now).is_none_or(|e| e > now + skipped),
             "fast-forward skipped past a node event"
         );
-        if skipped > 0 {
-            for lane in &mut self.lanes {
-                lane.sa.skip_cycles(now, skipped, false);
-                lane.bank.skip_cycles(now, skipped);
-                lane.bank_in.advance(now.raw() + skipped);
-            }
-        }
-        for c in &mut self.channels {
-            c.skip_idle(now, skipped);
-        }
+        self.ticks += skipped;
+        self.clock = now.raw() + skipped;
     }
 
-    /// Aggregate statistics over all banks, units, and channels.
+    /// Aggregate statistics over all banks, units, and channels, with every
+    /// sleeping component's slept cycles folded in (into a copy: reads
+    /// never change the node).
     pub fn stats(&self) -> NodeStats {
+        let (ticks, now) = (self.ticks, self.clock);
         let mut s = NodeStats::default();
         for lane in &self.lanes {
-            s.sa.merge(lane.sa.stats());
+            s.sa.merge(lane.sa_stats(ticks));
             s.resilience.merge(&lane.sa.resilience_stats());
         }
         for lane in &self.lanes {
-            s.cache.merge(lane.bank.stats());
+            s.cache.merge(lane.cache_stats(ticks));
             s.resilience.merge(&lane.bank.resilience_stats());
         }
-        for c in &self.channels {
-            s.dram.merge(c.stats());
-            s.resilience.merge(&c.resilience_stats());
+        for ch in &self.channels {
+            s.dram.merge(ch.stats(ticks));
+            s.resilience.merge(&ch.dram.resilience_stats());
         }
         for lane in &self.lanes {
-            s.bank_in.merge(lane.bank_in.stats());
+            s.bank_in.merge(lane.bank_in.stats_at(now));
         }
         s
     }
 
     /// Record per-instance metrics into a telemetry scope: one sub-scope per
     /// scatter-add unit / cache bank / DRAM channel / bank input queue, plus
-    /// the node-level aggregates from [`NodeMemSys::stats`].
+    /// the node-level aggregates from [`NodeMemSys::stats`]. Like
+    /// [`stats`](Self::stats), every counter is folded to the node's clock.
     pub fn record_metrics(&self, scope: &mut Scope<'_>) {
+        let (ticks, now) = (self.ticks, self.clock);
         for (b, lane) in self.lanes.iter().enumerate() {
-            lane.sa
-                .stats()
+            lane.sa_stats(ticks)
                 .record(&mut scope.scope(&format!("sa.unit{b}")));
         }
         for (b, lane) in self.lanes.iter().enumerate() {
-            lane.bank
-                .stats()
+            lane.cache_stats(ticks)
                 .record(&mut scope.scope(&format!("cache.bank{b}")));
         }
         for (c, ch) in self.channels.iter().enumerate() {
-            ch.stats()
+            ch.stats(ticks)
                 .record(&mut scope.scope(&format!("dram.chan{c}")));
-            ch.queue_stats()
+            ch.dram
+                .queue_stats_at(now)
                 .record(&mut scope.scope(&format!("queue.dram.chan{c}")));
         }
         for (b, lane) in self.lanes.iter().enumerate() {
             lane.bank_in
-                .stats()
+                .stats_at(now)
                 .record(&mut scope.scope(&format!("queue.bank_in.bank{b}")));
         }
         self.stats().record(scope);
@@ -661,7 +714,9 @@ impl<T: TraceSink> sa_telemetry::Inspectable for NodeMemSys<T> {
     /// The node's snapshot subtree: one child per scatter-add unit, cache
     /// bank, and DRAM channel (same `sa.unitN`/`cache.bankN`/`dram.chanN`
     /// naming as [`NodeMemSys::record_metrics`]), plus bank-input queue
-    /// depths and the undrained completion count.
+    /// depths and the undrained completion count. Snapshots carry
+    /// instantaneous state only (queue depths, in-flight work), which a
+    /// sleeping component holds frozen, so they need no fold.
     fn probe_json(&self) -> sa_telemetry::Json {
         use sa_telemetry::{Json, ProbeRegistry};
         let mut o = Json::obj();
@@ -677,7 +732,7 @@ impl<T: TraceSink> sa_telemetry::Inspectable for NodeMemSys<T> {
             children.register(&format!("cache.bank{b}"), &lane.bank);
         }
         for (c, ch) in self.channels.iter().enumerate() {
-            children.register(&format!("dram.chan{c}"), ch);
+            children.register(&format!("dram.chan{c}"), &ch.dram);
         }
         o.push("components", children.into_components());
         o

@@ -538,9 +538,7 @@ impl ScatterAddUnit {
             self.next_event(now).is_none_or(|t| t > now + skipped),
             "fast-forward skipped past a scatter-add unit event"
         );
-        self.stats.occupancy_integral += self.occupied as u64 * skipped;
-        let (class, at_capacity) = self.occ_state();
-        self.stats.occ.skip(skipped, class, at_capacity);
+        self.stats = self.stats_after_skip(skipped);
         if attempting_submit {
             debug_assert!(!self.can_accept(), "a submit would have succeeded");
             self.stats.stalled_full += skipped;
@@ -550,6 +548,17 @@ impl ScatterAddUnit {
     /// Counters accumulated so far.
     pub fn stats(&self) -> SaStats {
         self.stats
+    }
+
+    /// The counters as they would read after folding `skipped` slept cycles
+    /// with [`skip_cycles`](Self::skip_cycles) (no submit attempts), without
+    /// mutating the unit.
+    pub fn stats_after_skip(&self, skipped: u64) -> SaStats {
+        let mut s = self.stats;
+        s.occupancy_integral += self.occupied as u64 * skipped;
+        let (class, at_capacity) = self.occ_state();
+        s.occ.skip(skipped, class, at_capacity);
+        s
     }
 
     /// The unit's configuration.

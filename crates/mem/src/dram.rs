@@ -381,18 +381,19 @@ impl DramChannel {
     }
 
     /// Fold `skipped` un-ticked cycles (fast-forward) into the bandwidth
-    /// token bucket and the busy/idle account. Exact because the transfer
-    /// loop never runs during a skippable span (`now < access_done`
-    /// throughout), so each skipped tick would only have refilled credit —
-    /// and the frozen state classifies identically to per-cycle ticking.
+    /// token bucket, the busy/idle account and the command queue's
+    /// occupancy integral. Exact because the transfer loop never runs
+    /// during a skippable span (`now < access_done` throughout), so each
+    /// skipped tick would only have refilled credit — and the frozen state
+    /// classifies identically to per-cycle ticking.
     pub fn skip_idle(&mut self, now: Cycle, skipped: u64) {
         debug_assert!(
             self.next_event(now).is_none_or(|t| t > now + skipped),
             "fast-forward skipped past a DRAM channel event"
         );
-        let (class, at_capacity) = self.occ_state();
-        self.stats.occ.skip(skipped, class, at_capacity);
+        self.stats = self.stats_after_skip(skipped);
         self.rate.tick_idle(skipped);
+        self.queue.advance(now.raw() + skipped);
     }
 
     /// Counters accumulated so far.
@@ -400,9 +401,20 @@ impl DramChannel {
         self.stats
     }
 
-    /// Occupancy statistics of the command queue.
-    pub fn queue_stats(&self) -> sa_sim::QueueStats {
-        self.queue.stats()
+    /// The counters as they would read after folding `skipped` idle cycles
+    /// with [`skip_idle`](Self::skip_idle), without mutating the channel.
+    pub fn stats_after_skip(&self, skipped: u64) -> DramStats {
+        let mut s = self.stats;
+        let (class, at_capacity) = self.occ_state();
+        s.occ.skip(skipped, class, at_capacity);
+        s
+    }
+
+    /// Occupancy statistics of the command queue as they would read with
+    /// the queue advanced to cycle `now` (a sleeping channel's queue lags
+    /// its owner's clock), without mutating the channel.
+    pub fn queue_stats_at(&self, now: u64) -> sa_sim::QueueStats {
+        self.queue.stats_at(now)
     }
 }
 

@@ -211,10 +211,14 @@ impl MultiNode {
     }
 
     /// Enable or disable event-horizon fast-forward for this machine's
-    /// runs (wall-clock only; reports are byte-identical either way),
-    /// overriding the process-wide default.
+    /// runs, and with it every node's lane and channel sleep (wall-clock
+    /// only; reports are byte-identical either way), overriding the
+    /// process-wide default.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
+        for node in &mut self.nodes {
+            node.set_fast_forward(enabled);
+        }
     }
 
     /// Whether runs may fast-forward over provably-idle cycles.
@@ -501,12 +505,17 @@ fn step_node(ctx: &mut NodeCtx, port: &mut CrossbarPort<'_, NetMsg>, now: Cycle,
                 // zero-allocates and merges it (the address is still remote
                 // there). All words of a line share one bank queue, so free
                 // capacity must cover every non-zero word.
-                let sb = sb.clone();
                 let needed = sb.data.iter().filter(|&&b| b != 0).count();
                 if ctx.node.inject_capacity(sb.base) < needed {
                     break;
                 }
-                let _ = port.pop_delivered();
+                let Some(Message {
+                    payload: NetMsg::SumBack(sb),
+                    ..
+                }) = port.pop_delivered()
+                else {
+                    unreachable!("peeked a sum-back");
+                };
                 for (w, &bits) in sb.data.iter().enumerate() {
                     if bits == 0 {
                         continue; // additive identity: no work
@@ -998,8 +1007,14 @@ mod tests {
     #[test]
     fn fast_forward_is_byte_identical() {
         // Cycle count, statistics, and lifecycle records must not depend on
-        // whether the coordinator skips provably-idle cycles.
+        // whether the coordinator skips provably-idle cycles. Each machine
+        // replays the trace twice: the second run restarts the clock on
+        // nodes that keep their (sleeping) lanes and channels.
         let (trace, values) = uniform_trace(2000, 512, 33);
+        let (trace2, values2) = (
+            [&trace[..], &trace].concat(),
+            [&values[..], &values].concat(),
+        );
         let mut cfg = machine();
         cfg.req_sample = 8;
         let mut any_skipped = false;
@@ -1013,21 +1028,22 @@ mod tests {
             let run = |ff: bool| {
                 let mut mn = MultiNode::with_topology(cfg, n, net, combining, topo);
                 mn.set_fast_forward(ff);
-                let r = mn.run_trace(&trace, &values);
-                verify(&mn, &trace, &values);
-                r
+                let first = mn.run_trace(&trace, &values);
+                let second = mn.run_trace(&trace, &values);
+                verify(&mn, &trace2, &values2);
+                [first, second]
             };
-            let a = run(true);
-            let b = run(false);
-            assert_eq!(b.skipped_cycles, 0, "ff off must step every cycle");
-            any_skipped |= a.skipped_cycles > 0;
-            let mut a_wallclock = a.clone();
-            a_wallclock.skipped_cycles = 0;
-            assert_reports_identical(
-                &a_wallclock,
-                &b,
-                &format!("ff on/off n={n} combining={combining} topo={topo:?}"),
-            );
+            for (round, (a, b)) in run(true).into_iter().zip(run(false)).enumerate() {
+                assert_eq!(b.skipped_cycles, 0, "ff off must step every cycle");
+                any_skipped |= a.skipped_cycles > 0;
+                let mut a_wallclock = a.clone();
+                a_wallclock.skipped_cycles = 0;
+                assert_reports_identical(
+                    &a_wallclock,
+                    &b,
+                    &format!("ff on/off n={n} combining={combining} topo={topo:?} run {round}"),
+                );
+            }
         }
         assert!(any_skipped, "no case exercised the coordinator skip path");
     }

@@ -18,6 +18,8 @@
 //! Jobs run on a bounded worker pool; when the connection queue is full the
 //! accept loop answers `429` immediately (admission control), and per-tenant
 //! quotas (total jobs, concurrent jobs) answer `429` with a quota error.
+//! A job whose simulation panics answers `500` with a JSON error; its
+//! worker keeps serving and the tenant's in-flight slot is released.
 //! Results are memoized through `sa-memo`: the spec's canonical fingerprint
 //! is looked up before any simulation, so a warm repeat of a job performs
 //! zero simulation yet returns a byte-identical body — the `X-SA-Cache` and
@@ -29,9 +31,11 @@
 
 pub mod client;
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -393,12 +397,22 @@ fn submit_job(state: &Arc<State>, stream: &mut TcpStream, request: &Request) -> 
         return respond_json(stream, 429, &body, &[]);
     }
     state.submitted.fetch_add(1, Ordering::Relaxed);
-    let result = run_job(state, stream, request);
+    // A job that panics (e.g. a spec that trips the simulator's runaway
+    // cycle guard) fails alone: the worker survives, the tenant's slot is
+    // released and the client gets a 500.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| run_job(state, stream, request)))
+        .unwrap_or_else(|payload| Err(JobError::Panic(panic_message(payload.as_ref()))));
     state.release(&tenant, result.is_ok());
     match result {
         Ok(()) => {
             state.completed.fetch_add(1, Ordering::Relaxed);
             Ok(())
+        }
+        Err(JobError::Panic(message)) => {
+            state.failed.fetch_add(1, Ordering::Relaxed);
+            let mut body = Json::obj();
+            body.push("error", Json::Str(format!("job failed: {message}")));
+            respond_json(stream, 500, &body, &[])
         }
         Err(JobError::Client(status, message)) => {
             state.failed.fetch_add(1, Ordering::Relaxed);
@@ -416,8 +430,19 @@ fn submit_job(state: &Arc<State>, stream: &mut TcpStream, request: &Request) -> 
 enum JobError {
     /// The spec was unusable; answer `status` with the message.
     Client(u16, String),
+    /// The simulation panicked; answer 500 with the panic message.
+    Panic(String),
     /// The response socket died mid-write; nothing left to say.
     Io(io::Error),
+}
+
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic".to_string())
 }
 
 impl From<io::Error> for JobError {

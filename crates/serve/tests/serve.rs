@@ -182,3 +182,45 @@ fn http_shutdown_drains_the_server() {
     assert!(server.is_shutting_down());
     server.join();
 }
+
+#[test]
+fn panicking_job_answers_500_and_the_server_keeps_serving() {
+    // One worker and one in-flight slot: a job that killed its worker or
+    // leaked its slot would leave the follow-up job unserved or rejected.
+    let (server, addr) = start(ServeConfig {
+        workers: 1,
+        tenant_inflight: 1,
+        ..ServeConfig::default()
+    });
+    // A hit latency this long passes validation but trips the simulator's
+    // runaway-cycle guard, which panics.
+    let mut spec = SessionSpec::new(Workload::Histogram {
+        base_word: 0,
+        indices: (0..64u64).collect(),
+    });
+    spec.config.cache.hit_latency = u32::MAX;
+    let text = spec.to_json().to_string_pretty();
+    let failed = client::submit(&addr, &text, "carol", None).expect("submit");
+    assert_eq!(failed.status, 500);
+    let doc = Json::parse(&failed.body).expect("error json");
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.starts_with("job failed"), "unexpected error: {error}");
+
+    assert_eq!(client::health(&addr).expect("health").status, 200);
+    let ok = client::submit(&addr, &histogram_spec(64, 16), "carol", None).expect("submit");
+    assert_eq!(ok.status, 200);
+
+    let stats = client::stats(&addr).expect("stats");
+    let doc = Json::parse(&stats.body).expect("stats json");
+    let jobs = doc.get("jobs").expect("jobs");
+    assert_eq!(jobs.get("failed").and_then(Json::as_u64), Some(1));
+    assert_eq!(jobs.get("completed").and_then(Json::as_u64), Some(1));
+    let carol = doc
+        .get("tenants")
+        .and_then(|t| t.get("carol"))
+        .expect("tenant ledger");
+    assert_eq!(carol.get("inflight").and_then(Json::as_u64), Some(0));
+    assert_eq!(carol.get("completed").and_then(Json::as_u64), Some(1));
+    server.shutdown();
+    server.join();
+}

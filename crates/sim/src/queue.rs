@@ -136,6 +136,15 @@ impl<T> BoundedQueue<T> {
         self.stats
     }
 
+    /// The statistics as they would read after [`advance`](Self::advance)
+    /// to `now`, without advancing: for owners that fold a sleeping queue's
+    /// elapsed cycles lazily.
+    pub fn stats_at(&self, now: u64) -> QueueStats {
+        let mut s = self.stats;
+        s.advance(self.items.len() as u64, now);
+        s
+    }
+
     /// Iterate over queued items, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
