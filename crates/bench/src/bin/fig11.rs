@@ -30,8 +30,8 @@ fn main() {
     );
     // Seven bars per combining-store size: four memory latencies at FU
     // latency 4, then three FU latencies at memory latency 16. Flatten the
-    // whole grid and let the rig sweep it in parallel; results come back in
-    // configuration order.
+    // whole grid and sweep it in parallel; results come back in configuration
+    // order.
     let configs: Vec<SensitivityConfig> = CS_SIZES
         .iter()
         .flat_map(|&cs| {
@@ -54,8 +54,9 @@ fn main() {
             mem.chain(fu)
         })
         .collect();
-    let results =
-        SensitivityRig::run_histogram_sweep(&configs, &indices, range, sweep::jobs_from_env());
+    let results = sweep::map(configs, |c| {
+        SensitivityRig::new(c).run_histogram(&indices, range)
+    });
 
     let per_cs = MEM_LATENCIES.len() + FU_LATENCIES.len();
     for (row_idx, &cs) in CS_SIZES.iter().enumerate() {

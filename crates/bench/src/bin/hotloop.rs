@@ -42,9 +42,10 @@
 //!
 //! A second table measures the introspection layer (`docs/OBSERVABILITY.md`):
 //! the same driver hot loop with probes off, snapshotting every 4096
-//! cycles, streaming those snapshots to a sink, and host-profiling. The
-//! disabled path must match the probe-off cycle count exactly (asserted),
-//! and `--probe-baseline` warns when a variant's throughput halves.
+//! cycles, streaming those snapshots to a sink, host-profiling, recording
+//! Chrome-trace events, and tracing every request's lifecycle. Every
+//! variant must match the probe-off cycle count exactly (asserted), and
+//! `--probe-baseline` warns when a variant's throughput halves.
 //!
 //! A third table measures the content-addressed result cache
 //! (`docs/PERFORMANCE.md`): a Figure-6-shaped sweep with the cache off,
@@ -67,7 +68,9 @@ use sa_core::{drive_scatter_probed, NodeMemSys, ScatterKernel, SensitivityRig};
 use sa_memo::{Fingerprint, ResultCache};
 use sa_multinode::MultiNode;
 use sa_sim::{MachineConfig, NetworkConfig, Rng64, SensitivityConfig};
-use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRecorder, Progress};
+use sa_telemetry::{
+    ChromeTrace, HostProfiler, Introspect, Json, ProbeRecorder, Progress, TraceSink,
+};
 
 struct Workload {
     name: &'static str,
@@ -174,71 +177,101 @@ fn compare_to_baseline(baseline: &Json, runs: &[Json], key: &str) -> usize {
     warnings
 }
 
-/// The introspection variants of the probe-overhead table. Each factory
-/// builds a fresh [`Introspect`] so per-repeat state (snapshot cursors,
-/// profiler tallies) never leaks between measurements. `interval` is the
-/// snapshot cadence — the quick run is short, so it shrinks the interval to
-/// keep the snapshot path exercised.
-#[allow(clippy::type_complexity)]
-fn probe_modes(interval: u64) -> Vec<(&'static str, Box<dyn Fn() -> Introspect>)> {
+/// One probe-overhead variant: builds a fresh node and [`Introspect`] (so
+/// per-repeat state never leaks between measurements), times the driver
+/// over `kernel`, and returns (simulated cycles, snapshots, wall seconds).
+type ProbeRun = Box<dyn Fn(&ScatterKernel) -> (u64, u64, f64)>;
+
+fn timed_drive<T: TraceSink>(
+    node: NodeMemSys<T>,
+    kernel: &ScatterKernel,
+    mut probe: Introspect,
+) -> (u64, u64, f64) {
+    let t0 = Instant::now();
+    let run = drive_scatter_probed(node, kernel, false, &mut probe);
+    let wall = t0.elapsed().as_secs_f64();
+    (run.cycles, probe.recorder.lines().len() as u64, wall)
+}
+
+/// The variants of the probe-overhead table: introspection on a plain node,
+/// then the node-side tracers (Chrome-trace events, every request's
+/// lifecycle). `interval` is the snapshot cadence — the quick run is short,
+/// so it shrinks the interval to keep the snapshot path exercised.
+fn probe_modes(interval: u64) -> Vec<(&'static str, ProbeRun)> {
+    let cfg = MachineConfig::merrimac();
+    let plain = move || NodeMemSys::new(cfg, 0, false);
     vec![
-        ("probe-off", Box::new(Introspect::off)),
+        (
+            "probe-off",
+            Box::new(move |k| timed_drive(plain(), k, Introspect::off())),
+        ),
         (
             "probe-snap",
-            Box::new(move || {
+            Box::new(move |k| {
                 let mut p = Introspect::off();
                 p.recorder = ProbeRecorder::every(interval);
-                p
+                timed_drive(plain(), k, p)
             }),
         ),
         (
             "probe-snap-stream",
-            Box::new(move || {
+            Box::new(move |k| {
                 let sink = Progress::to_writer(Box::new(std::io::sink()));
                 let mut p = Introspect::off();
                 p.recorder = ProbeRecorder::every(interval).with_sink(sink.clone());
                 p.progress = sink;
-                p
+                timed_drive(plain(), k, p)
             }),
         ),
         (
             "host-profile",
-            Box::new(|| {
+            Box::new(move |k| {
                 let mut p = Introspect::off();
                 p.profiler = HostProfiler::on();
-                p
+                timed_drive(plain(), k, p)
+            }),
+        ),
+        (
+            "chrome-trace",
+            Box::new(move |k| {
+                let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
+                timed_drive(node, k, Introspect::off())
+            }),
+        ),
+        (
+            "req-sample-1",
+            Box::new(move |k| {
+                let mut node = plain();
+                node.set_req_sample(1);
+                timed_drive(node, k, Introspect::off())
             }),
         ),
     ]
 }
 
-/// Measure the driver hot loop under each introspection variant. Probing
-/// must never perturb simulated time, so every variant's cycle count is
-/// asserted equal to the probe-off run.
+/// Measure the driver hot loop under each probe variant. Probing and
+/// tracing must never perturb simulated time, so every variant's cycle
+/// count is asserted equal to the probe-off run.
 fn measure_probe_overhead(quick: bool, repeats: usize) -> Vec<Json> {
     header(
         "Probe overhead",
-        "uniform histogram via the single-node driver; introspection variants vs off",
+        "uniform histogram via the single-node driver; introspection and tracing vs off",
     );
     let n = if quick { 4096 } else { 32_768 };
     let interval = if quick { 256 } else { 4096 };
     let mut rng = Rng64::new(0x9406_0001);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(4096)).collect());
-    let cfg = MachineConfig::merrimac();
     let mut out = Vec::new();
     let mut off = None;
-    for (name, mk) in probe_modes(interval) {
+    for (name, run) in probe_modes(interval) {
         let mut best = f64::INFINITY;
         let mut cycles = 0;
         let mut snapshots = 0;
         for _ in 0..repeats {
-            let node = NodeMemSys::new(cfg, 0, false);
-            let mut probe = mk();
-            let t0 = Instant::now();
-            let run = drive_scatter_probed(node, &kernel, false, &mut probe);
-            best = best.min(t0.elapsed().as_secs_f64());
-            cycles = run.cycles;
-            snapshots = probe.recorder.lines().len() as u64;
+            let (c, s, wall) = run(&kernel);
+            best = best.min(wall);
+            cycles = c;
+            snapshots = s;
         }
         let (off_cycles, off_wall) = *off.get_or_insert((cycles, best));
         assert_eq!(cycles, off_cycles, "{name}: probing changed simulated time");

@@ -3,7 +3,7 @@
 
 use sa_bench::args::Args;
 use sa_bench::telemetry::{machine_config_json, BenchRun};
-use sa_core::{drive_scatter, drive_scatter_probed, drive_scatter_with, NodeMemSys, ScatterKernel};
+use sa_core::{drive_scatter, drive_scatter_probed, NodeMemSys, ScatterKernel};
 use sa_sim::{MachineConfig, Rng64};
 use sa_telemetry::{validate_stats_json, ChromeTrace, Introspect, Json};
 
@@ -116,7 +116,7 @@ fn request_spans_land_on_node_scoped_tracks() {
     let mut rng = Rng64::new(7);
     let kernel = ScatterKernel::histogram(0, (0..2048).map(|_| rng.below(1024)).collect());
     let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
-    let run = drive_scatter_with(node, &kernel, false);
+    let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
     let doc = Json::parse(&run.node.tracer().to_json_string()).expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let req_tracks = events
@@ -141,7 +141,7 @@ fn trace_has_one_track_per_bank_and_channel() {
     let mut rng = Rng64::new(7);
     let kernel = ScatterKernel::histogram(0, (0..2048).map(|_| rng.below(1024)).collect());
     let node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
-    let run = drive_scatter_with(node, &kernel, false);
+    let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
     let doc = Json::parse(&run.node.tracer().to_json_string()).expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let tracks: Vec<&str> = events
@@ -165,7 +165,7 @@ fn tracing_never_changes_simulated_time() {
         let mut node = NodeMemSys::with_tracer(cfg, 0, false, ChromeTrace::new());
         node.set_sample_interval(1); // densest possible sampling
         node.set_req_sample(1); // trace every request's lifecycle
-        drive_scatter_with(node, &kernel, false)
+        drive_scatter_probed(node, &kernel, false, &mut Introspect::off())
     };
     assert_eq!(plain.cycles, traced.cycles);
     assert_eq!(plain.drain_cycles, traced.drain_cycles);

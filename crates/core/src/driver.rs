@@ -10,10 +10,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use sa_sim::{Addr, Clock, Cycle, MachineConfig, MemOp, MemRequest, Origin, ScalarKind, ScatterOp};
-use sa_telemetry::{Introspect, Json, NullTrace, ProbeRegistry, TraceSink};
+use sa_sim::{Addr, Cycle, MachineConfig, MemOp, MemRequest, Origin, ScalarKind, ScatterOp};
+use sa_telemetry::{HostProfiler, Introspect, Json, NullTrace, ProbeRegistry, TraceSink};
 
 use crate::node::{NodeMemSys, NodeStats};
+use crate::sched::{self, Stepped};
 
 /// A data-parallel scatter operation: `a[b[i]] ∘= c[i]` for all `i`
 /// (the paper's `scatterAdd(a, b, c)` with `a` starting at `base_word`).
@@ -239,36 +240,27 @@ pub fn scatter_reference(kernel: &ScatterKernel, result_len: usize) -> Vec<u64> 
 ///
 /// Panics if `indices` and `values` lengths differ.
 pub fn drive_scatter(cfg: &MachineConfig, kernel: &ScatterKernel, fetch: bool) -> RunResult {
-    drive_scatter_with(NodeMemSys::new(*cfg, 0, false), kernel, fetch)
+    drive_scatter_probed(
+        NodeMemSys::new(*cfg, 0, false),
+        kernel,
+        fetch,
+        &mut Introspect::off(),
+    )
 }
 
-/// [`drive_scatter`] over a caller-built node — the entry point for traced
-/// runs (`NodeMemSys::with_tracer`) or custom sampling intervals.
-///
-/// # Panics
-///
-/// Panics if `indices` and `values` lengths differ.
-pub fn drive_scatter_with<T: TraceSink>(
-    node: NodeMemSys<T>,
-    kernel: &ScatterKernel,
-    fetch: bool,
-) -> RunResult<T> {
-    drive_scatter_probed(node, kernel, fetch, &mut Introspect::off())
-}
-
-/// [`drive_scatter_with`] with live introspection attached: probe snapshots
-/// at the recorder's cadence (the event-horizon skip is clamped so due
-/// cycles are always ticked — snapshot bytes are identical with
-/// fast-forward on or off), wall-clock-throttled progress heartbeats, and
-/// host-time attribution of the inject/tick/drain/skip phases. With
-/// [`Introspect::off`] (what [`drive_scatter_with`] passes) every
-/// introspection site reduces to one branch.
+/// [`drive_scatter`] over a caller-built node — traced
+/// (`NodeMemSys::with_tracer`), sampled, or with fast-forward set — with
+/// live introspection attached: probe snapshots at the recorder's cadence
+/// (identical with fast-forward on or off), wall-clock-throttled progress
+/// heartbeats, and host-time attribution of the inject/tick/drain/skip
+/// phases. With [`Introspect::off`] every introspection site reduces to one
+/// branch.
 ///
 /// # Panics
 ///
 /// Panics if `indices` and `values` lengths differ.
 pub fn drive_scatter_probed<T: TraceSink>(
-    mut node: NodeMemSys<T>,
+    node: NodeMemSys<T>,
     kernel: &ScatterKernel,
     fetch: bool,
     probe: &mut Introspect,
@@ -279,11 +271,7 @@ pub fn drive_scatter_probed<T: TraceSink>(
         "index/value length mismatch"
     );
     let cfg = *node.config();
-    let mut clock = Clock::with_limit(4_000_000_000);
-    let n = kernel.indices.len();
-    let issue_per_cycle = (cfg.ag.count as u32 * cfg.ag.width) as usize;
-
-    let mut pending: VecDeque<MemRequest> = kernel
+    let pending: VecDeque<MemRequest> = kernel
         .indices
         .iter()
         .zip(&kernel.values)
@@ -303,108 +291,108 @@ pub fn drive_scatter_probed<T: TraceSink>(
             },
         })
         .collect();
+    let mut run = DriverRun {
+        node,
+        pending,
+        issue_per_cycle: (cfg.ag.count as u32 * cfg.ag.width) as usize,
+        total: kernel.indices.len(),
+        fetch,
+        acked: 0,
+        fetched: Vec::new(),
+        ack_time: 0,
+    };
+    let fast_forward = run.node.fast_forward();
+    let fin = sched::run(&mut run, fast_forward, probe);
 
-    let mut acked = 0usize;
-    let mut fetched = Vec::new();
-    let mut ack_time = 0u64;
-    let mut skipped_cycles = 0u64;
-    let fast_forward = node.fast_forward();
+    // Materialize the coherent memory image for result extraction.
+    let mut node = run.node;
+    node.flush_to_store();
 
-    loop {
-        let now = clock.advance();
-        probe.profiler.time("inject", || {
+    let startup = u64::from(cfg.ag.startup_cycles);
+    RunResult {
+        cycles: run.ack_time + startup,
+        drain_cycles: fin.cycles + startup,
+        skipped_cycles: fin.skipped_cycles,
+        stats: node.stats(),
+        fetched: run.fetched,
+        base_word: kernel.base_word,
+        node,
+    }
+}
+
+/// One driver run in progress: the requests not yet accepted by the node
+/// and the acknowledgements seen so far.
+struct DriverRun<T: TraceSink> {
+    node: NodeMemSys<T>,
+    pending: VecDeque<MemRequest>,
+    issue_per_cycle: usize,
+    total: usize,
+    fetch: bool,
+    acked: usize,
+    fetched: Vec<(u64, u64)>,
+    ack_time: u64,
+}
+
+impl<T: TraceSink> Stepped for DriverRun<T> {
+    fn step(&mut self, now: Cycle, prof: &mut HostProfiler) {
+        prof.time("inject", || {
             let mut issued = 0;
-            while issued < issue_per_cycle {
-                let Some(req) = pending.pop_front() else {
+            while issued < self.issue_per_cycle {
+                let Some(req) = self.pending.pop_front() else {
                     break;
                 };
-                match node.inject_traced(req, now) {
+                match self.node.inject_traced(req, now) {
                     Ok(()) => issued += 1,
                     Err(req) => {
-                        pending.push_front(req);
+                        self.pending.push_front(req);
                         break;
                     }
                 }
             }
         });
-        probe.profiler.time("tick", || node.tick(now));
-        probe.profiler.time("drain", || {
-            while let Some(c) = node.pop_completion() {
-                acked += 1;
-                if fetch {
-                    fetched.push((c.id, c.bits));
+        prof.time("tick", || self.node.tick(now));
+        prof.time("drain", || {
+            while let Some(c) = self.node.pop_completion() {
+                self.acked += 1;
+                if self.fetch {
+                    self.fetched.push((c.id, c.bits));
                 }
-                if acked == n {
+                if self.acked == self.total {
                     // The completion's own cycle (completions drain the
                     // cycle they are produced).
-                    ack_time = c.at.raw();
+                    self.ack_time = c.at.raw();
                 }
             }
         });
-        if probe.recorder.due(now.raw()) {
-            let mut reg = ProbeRegistry::new();
-            reg.register("node0", &node);
-            probe.recorder.record(reg, now.raw(), skipped_cycles);
-        }
-        if probe.progress.is_on() && now.raw() & 0x3FFF == 0 {
-            let elapsed = probe.progress.elapsed().as_secs_f64();
-            probe.progress.heartbeat(|o| {
-                o.push("cycle", Json::UInt(now.raw()));
-                o.push("acked", Json::UInt(acked as u64));
-                o.push("total", Json::UInt(n as u64));
-                o.push("skipped_cycles", Json::UInt(skipped_cycles));
-                let rate = if elapsed > 0.0 {
-                    now.raw() as f64 / elapsed
-                } else {
-                    0.0
-                };
-                o.push("sim_cycles_per_sec", Json::Num(rate));
-                let ff = if now.raw() > 0 {
-                    skipped_cycles as f64 / now.raw() as f64
-                } else {
-                    0.0
-                };
-                o.push("ff_ratio", Json::Num(ff));
-            });
-        }
-        if pending.is_empty() && node.is_idle() {
-            break;
-        }
-        // Event-horizon fast-forward: once everything is issued, jump to the
-        // cycle before the node's next event. While requests are still
-        // pending, every cycle retries injection (mutating queue-rejection
-        // counters), so the loop must tick through those cycles. The horizon
-        // is clamped to the next due probe cycle so snapshot cadence sees
-        // every due cycle ticked regardless of skipping.
-        if fast_forward && pending.is_empty() {
-            if let Some(mut h) = node.next_event(now) {
-                if let Some(due) = probe.recorder.next_due() {
-                    h = h.min(Cycle(due.max(now.raw() + 1)));
-                }
-                if h > now + 1 {
-                    let k = h.raw() - now.raw() - 1;
-                    probe.profiler.time("skip", || {
-                        node.skip_cycles(now, k);
-                    });
-                    clock.skip_to(Cycle(h.raw() - 1));
-                    skipped_cycles += k;
-                }
-            }
+    }
+
+    /// Done once everything is issued and the node is idle, decided after a
+    /// cycle: even an empty kernel ticks once.
+    fn settle(&mut self, now: Cycle, _prof: &mut HostProfiler) -> bool {
+        now > Cycle::ZERO && self.pending.is_empty() && self.node.is_idle()
+    }
+
+    /// While requests are still pending, every cycle retries injection
+    /// (mutating queue-rejection counters), so only the drain phase skips.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.pending.is_empty() {
+            self.node.next_event(now)
+        } else {
+            None
         }
     }
 
-    // Materialize the coherent memory image for result extraction.
-    node.flush_to_store();
+    fn skip(&mut self, now: Cycle, k: u64) {
+        self.node.skip_cycles(now, k);
+    }
 
-    let startup = u64::from(cfg.ag.startup_cycles);
-    RunResult {
-        cycles: ack_time + startup,
-        drain_cycles: clock.now().raw() + startup,
-        skipped_cycles,
-        stats: node.stats(),
-        fetched,
-        base_word: kernel.base_word,
-        node,
+    fn register(&self, reg: &mut ProbeRegistry) {
+        reg.register("node0", &self.node);
+    }
+
+    fn heartbeat(&self, o: &mut Json) {
+        o.push("acked", Json::UInt(self.acked as u64));
+        o.push("total", Json::UInt(self.total as u64));
     }
 }
 
@@ -507,8 +495,8 @@ mod tests {
         on.set_fast_forward(true);
         let mut off = NodeMemSys::new(merrimac(), 0, false);
         off.set_fast_forward(false);
-        let a = drive_scatter_with(on, &kernel, false);
-        let b = drive_scatter_with(off, &kernel, false);
+        let a = drive_scatter_probed(on, &kernel, false, &mut Introspect::off());
+        let b = drive_scatter_probed(off, &kernel, false, &mut Introspect::off());
         assert_eq!(b.skipped_cycles, 0, "ff off must tick every cycle");
         assert!(a.skipped_cycles > 0, "drain phase should fast-forward");
         assert_eq!(a.cycles, b.cycles);
@@ -561,7 +549,7 @@ mod tests {
         let indices: Vec<u64> = (0..1024u64).map(|i| (i * 13) % 512).collect();
         let kernel = ScatterKernel::histogram(0, indices);
         let node = NodeMemSys::with_tracer(merrimac(), 0, false, ChromeTrace::new());
-        let run = drive_scatter_with(node, &kernel, false);
+        let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
         let series = run.node.series();
         assert!(!series.is_empty(), "sampling must produce series");
         assert!(series.iter().any(|(n, _)| n.contains("sa.cs_residency")));
@@ -580,6 +568,25 @@ mod tests {
         let chan_tracks = tracks.iter().filter(|t| t.contains(".dram.chan")).count();
         assert_eq!(bank_tracks, cfg.cache.banks, "one track per cache bank");
         assert_eq!(chan_tracks, cfg.dram.channels, "one track per DRAM channel");
+    }
+
+    #[test]
+    fn empty_kernel_ticks_one_cycle() {
+        // The driver decides "done" after a cycle, so an empty kernel still
+        // ticks once; `cycles` is the last ack (none: 0) plus AG startup.
+        for ff in [true, false] {
+            let mut node = NodeMemSys::new(merrimac(), 0, false);
+            node.set_fast_forward(ff);
+            let run = drive_scatter_probed(
+                node,
+                &ScatterKernel::histogram(0, Vec::new()),
+                false,
+                &mut Introspect::off(),
+            );
+            let startup = u64::from(merrimac().ag.startup_cycles);
+            assert_eq!((run.cycles, run.drain_cycles), (startup, 1 + startup));
+            assert_eq!(run.skipped_cycles, 0);
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   2% of a 10 mm × 10 mm chip in 90 nm technology" claim.
 //! * [`scan`] and [`sync`] — the §5 future-work extensions: hardware
 //!   parallel-prefix and fetch-and-add-based synchronization primitives.
+//! * [`sched`] — the one run loop (clock, event-horizon skip, probe
+//!   cadence) that drives the rig, the driver, the scan, the stream
+//!   executor and the multinode machine.
 //!
 //! # Quick start
 //!
@@ -49,12 +52,13 @@ mod lane;
 mod node;
 mod rig;
 pub mod scan;
+pub mod sched;
 pub mod sync;
 mod unit;
 
 pub use driver::{
-    drive_scatter, drive_scatter_probed, drive_scatter_with, scatter_reference, RunResult,
-    ScatterKernel, StallBreakdown,
+    drive_scatter, drive_scatter_probed, scatter_reference, RunResult, ScatterKernel,
+    StallBreakdown,
 };
 pub use node::{NodeMemSys, NodeStats, DEFAULT_SAMPLE_INTERVAL};
 pub use rig::{SensitivityResult, SensitivityRig};

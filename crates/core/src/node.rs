@@ -1157,7 +1157,12 @@ mod tests {
         let run = |ff: bool| {
             let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, false);
             node.set_fast_forward(ff);
-            let run = crate::drive_scatter_with(node, &kernel, true);
+            let run = crate::drive_scatter_probed(
+                node,
+                &kernel,
+                true,
+                &mut sa_telemetry::Introspect::off(),
+            );
             (
                 run.cycles,
                 run.drain_cycles,
@@ -1192,7 +1197,12 @@ mod tests {
             let mut node = NodeMemSys::new(MachineConfig::merrimac(), 0, false);
             node.set_fault_plan(&plan);
             node.set_fast_forward(ff);
-            let run = crate::drive_scatter_with(node, &kernel, false);
+            let run = crate::drive_scatter_probed(
+                node,
+                &kernel,
+                false,
+                &mut sa_telemetry::Introspect::off(),
+            );
             (run.cycles, run.drain_cycles, run.stats, run.result_i64(16))
         };
         assert_eq!(run(false), run(true));

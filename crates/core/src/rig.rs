@@ -3,10 +3,11 @@
 use fxhash::FxHashSet;
 use sa_mem::{BackingStore, SimpleMemory, SimpleMemoryStats};
 use sa_sim::{
-    Addr, Clock, Cycle, MemOp, MemRequest, Origin, SaUnitConfig, ScalarKind, ScatterOp,
-    SensitivityConfig,
+    Addr, Cycle, MemOp, MemRequest, Origin, SaUnitConfig, ScalarKind, ScatterOp, SensitivityConfig,
 };
+use sa_telemetry::{HostProfiler, Introspect};
 
+use crate::sched::{self, Stepped};
 use crate::unit::{SaStats, ScatterAddUnit, ToMem};
 
 /// Outcome of one sensitivity-rig run.
@@ -102,169 +103,138 @@ impl SensitivityRig {
         for &i in indices {
             assert!(i < range, "index {i} out of range {range}");
         }
-        let mut sa = ScatterAddUnit::new(SaUnitConfig {
-            cs_entries: self.cfg.cs_entries,
-            fu_latency: self.cfg.fu_latency,
-        });
-        let mut mem = SimpleMemory::new(self.cfg.mem_latency, self.cfg.mem_interval);
-        let mut store = BackingStore::new();
-        let mut clock = Clock::with_limit(2_000_000_000);
-        let mut next = 0usize;
-        let mut read_ids: FxHashSet<sa_sim::ReqId> = FxHashSet::default();
-        let mut skipped_cycles = 0u64;
-
-        while next < indices.len() || !sa.is_idle() || !mem.is_idle() {
-            let now = clock.advance();
-
-            // One scatter-add issued per cycle by the address generator.
-            if next < indices.len() {
-                let req = MemRequest {
-                    id: next as u64,
-                    addr: Addr::from_word_index(indices[next]),
-                    op: MemOp::Scatter {
-                        bits: 1,
-                        kind: ScalarKind::I64,
-                        op: ScatterOp::Add,
-                        fetch: false,
-                    },
-                    origin: Origin::AddrGen { node: 0, ag: 0 },
-                };
-                if sa.try_submit(req).is_ok() {
-                    next += 1;
-                }
-            }
-
-            sa.tick(now);
-
-            // The unit's reads/writes go straight to the uniform memory,
-            // throttled by its fixed access interval. A single conditional
-            // pop per op: the head stays queued when memory throttles it.
-            loop {
-                let accepted = sa.pop_to_mem_if(|op| {
-                    let req = match *op {
-                        ToMem::Read { id, addr } => MemRequest {
-                            id,
-                            addr,
-                            op: MemOp::Read,
-                            origin: Origin::SaUnit { node: 0, bank: 0 },
-                        },
-                        ToMem::Write { id, addr, bits } => MemRequest {
-                            id,
-                            addr,
-                            op: MemOp::Write { bits },
-                            origin: Origin::SaUnit { node: 0, bank: 0 },
-                        },
-                    };
-                    mem.try_access(req, now, &mut store)
-                });
-                match accepted {
-                    Some(ToMem::Read { id, .. }) => {
-                        read_ids.insert(id);
-                    }
-                    Some(ToMem::Write { .. }) => {}
-                    None => break,
-                }
-            }
-
-            if let Some(resp) = mem.tick(now) {
-                // Only reads carry a value back into the unit; write
-                // acknowledgements are dropped.
-                if read_ids.remove(&resp.id) {
-                    sa.on_value(resp.addr, resp.bits);
-                }
-            }
-
-            while sa.pop_ack().is_some() {}
-
-            // Event-horizon fast-forward: when no submit can succeed next
-            // cycle, jump to the cycle before the earliest component event.
-            // Every per-cycle stall counter the skipped retries would have
-            // bumped is folded in by the `skip_cycles` calls, so results are
-            // byte-identical with skipping off.
-            if self.fast_forward && (next >= indices.len() || !sa.can_accept()) {
-                let pending_mem = sa.peek_to_mem().is_some();
-                let mut horizon: Option<Cycle> = None;
-                let mut fold = |t: Option<Cycle>| {
-                    if let Some(t) = t {
-                        horizon = Some(horizon.map_or(t, |h| h.min(t)));
-                    }
-                };
-                fold(sa.next_event(now));
-                fold(mem.next_event(now));
-                if pending_mem {
-                    // The head op retries when the access interval frees.
-                    fold(Some(mem.ready_at(now).max(now + 1)));
-                }
-                if let Some(h) = horizon {
-                    if h > now + 1 {
-                        let k = h.raw() - now.raw() - 1;
-                        sa.skip_cycles(now, k, next < indices.len());
-                        mem.skip_cycles(now, k, pending_mem);
-                        clock.skip_to(Cycle(h.raw() - 1));
-                        skipped_cycles += k;
-                    }
-                }
-            }
-        }
-
+        let mut run = RigRun {
+            indices,
+            next: 0,
+            sa: ScatterAddUnit::new(SaUnitConfig {
+                cs_entries: self.cfg.cs_entries,
+                fu_latency: self.cfg.fu_latency,
+            }),
+            mem: SimpleMemory::new(self.cfg.mem_latency, self.cfg.mem_interval),
+            store: BackingStore::new(),
+            read_ids: FxHashSet::default(),
+        };
+        let fin = sched::run(&mut run, self.fast_forward, &mut Introspect::off());
         SensitivityResult {
-            cycles: clock.now().raw(),
-            skipped_cycles,
-            sa: sa.stats(),
-            mem: mem.stats(),
-            bins: store.extract_i64(Addr(0), range as usize),
+            cycles: fin.cycles,
+            skipped_cycles: fin.skipped_cycles,
+            sa: run.sa.stats(),
+            mem: run.mem.stats(),
+            bins: run.store.extract_i64(Addr(0), range as usize),
         }
     }
+}
 
-    /// Run [`SensitivityRig::run_histogram`] for every configuration on up
-    /// to `threads` worker threads, returning results in configuration
-    /// order.
-    ///
-    /// Each run is an independent simulation over shared read-only input,
-    /// so the sweep is embarrassingly parallel and — because results come
-    /// back in configuration order — indistinguishable from running the
-    /// configs serially, for any thread count (Figures 11 and 12 sweep
-    /// dozens of points through this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of `0..range` or a worker thread panics.
-    pub fn run_histogram_sweep(
-        configs: &[SensitivityConfig],
-        indices: &[u64],
-        range: u64,
-        threads: usize,
-    ) -> Vec<SensitivityResult> {
-        let n = configs.len();
-        if threads <= 1 || n <= 1 {
-            return configs
-                .iter()
-                .map(|&cfg| SensitivityRig::new(cfg).run_histogram(indices, range))
-                .collect();
-        }
-        let slots: Vec<std::sync::Mutex<Option<SensitivityResult>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(n) {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = SensitivityRig::new(configs[i]).run_histogram(indices, range);
-                    *slots[i].lock().expect("result slot") = Some(r);
-                });
+/// One rig run in progress: the address generator's cursor, the unit, and
+/// the uniform memory behind it.
+struct RigRun<'a> {
+    indices: &'a [u64],
+    next: usize,
+    sa: ScatterAddUnit,
+    mem: SimpleMemory,
+    store: BackingStore,
+    read_ids: FxHashSet<sa_sim::ReqId>,
+}
+
+impl Stepped for RigRun<'_> {
+    // Inlined into the run loop: measurably faster on stall-bound rigs,
+    // whose few ticked cycles each cost little more than the loop itself.
+    #[inline]
+    fn step(&mut self, now: Cycle, _prof: &mut HostProfiler) {
+        // One scatter-add issued per cycle by the address generator.
+        if self.next < self.indices.len() {
+            let req = MemRequest {
+                id: self.next as u64,
+                addr: Addr::from_word_index(self.indices[self.next]),
+                op: MemOp::Scatter {
+                    bits: 1,
+                    kind: ScalarKind::I64,
+                    op: ScatterOp::Add,
+                    fetch: false,
+                },
+                origin: Origin::AddrGen { node: 0, ag: 0 },
+            };
+            if self.sa.try_submit(req).is_ok() {
+                self.next += 1;
             }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("workers joined")
-                    .expect("every config produced a result")
-            })
-            .collect()
+        }
+
+        self.sa.tick(now);
+
+        // The unit's reads/writes go straight to the uniform memory,
+        // throttled by its fixed access interval. A single conditional
+        // pop per op: the head stays queued when memory throttles it.
+        let (mem, store) = (&mut self.mem, &mut self.store);
+        loop {
+            let accepted = self.sa.pop_to_mem_if(|op| {
+                let req = match *op {
+                    ToMem::Read { id, addr } => MemRequest {
+                        id,
+                        addr,
+                        op: MemOp::Read,
+                        origin: Origin::SaUnit { node: 0, bank: 0 },
+                    },
+                    ToMem::Write { id, addr, bits } => MemRequest {
+                        id,
+                        addr,
+                        op: MemOp::Write { bits },
+                        origin: Origin::SaUnit { node: 0, bank: 0 },
+                    },
+                };
+                mem.try_access(req, now, store)
+            });
+            match accepted {
+                Some(ToMem::Read { id, .. }) => {
+                    self.read_ids.insert(id);
+                }
+                Some(ToMem::Write { .. }) => {}
+                None => break,
+            }
+        }
+
+        if let Some(resp) = self.mem.tick(now) {
+            // Only reads carry a value back into the unit; write
+            // acknowledgements are dropped.
+            if self.read_ids.remove(&resp.id) {
+                self.sa.on_value(resp.addr, resp.bits);
+            }
+        }
+
+        while self.sa.pop_ack().is_some() {}
+    }
+
+    fn settle(&mut self, _now: Cycle, _prof: &mut HostProfiler) -> bool {
+        self.next >= self.indices.len() && self.sa.is_idle() && self.mem.is_idle()
+    }
+
+    /// Skippable once no submit can succeed next cycle. Every per-cycle
+    /// stall counter the skipped retries would have bumped is folded in by
+    /// the `skip_cycles` calls, so results are byte-identical with skipping
+    /// off.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.next < self.indices.len() && self.sa.can_accept() {
+            return None;
+        }
+        let mut h = earliest(self.sa.next_event(now), self.mem.next_event(now));
+        if self.sa.peek_to_mem().is_some() {
+            // The head op retries when the access interval frees.
+            h = earliest(h, Some(self.mem.ready_at(now).max(now + 1)));
+        }
+        h
+    }
+
+    fn skip(&mut self, now: Cycle, k: u64) {
+        let pending_mem = self.sa.peek_to_mem().is_some();
+        self.sa.skip_cycles(now, k, self.next < self.indices.len());
+        self.mem.skip_cycles(now, k, pending_mem);
+    }
+}
+
+/// The earlier of two optional event cycles.
+fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -396,24 +366,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_histogram_takes_no_cycles() {
+        // The rig decides "done" before a cycle: nothing to issue and an
+        // idle unit and memory finish at cycle 0.
+        for ff in [true, false] {
+            let mut rig = SensitivityRig::new(cfg(8, 4, 16, 2));
+            rig.set_fast_forward(ff);
+            let r = rig.run_histogram(&[], 4);
+            assert_eq!((r.cycles, r.skipped_cycles), (0, 0));
+            assert_eq!(r.bins, vec![0; 4]);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         let rig = SensitivityRig::new(SensitivityConfig::default());
         let _ = rig.run_histogram(&[5], 4);
-    }
-
-    #[test]
-    fn sweep_matches_serial_for_any_thread_count() {
-        let idx = uniform_indices(256, 1024, 6);
-        let configs: Vec<SensitivityConfig> = [2usize, 8, 64]
-            .into_iter()
-            .flat_map(|cs| [8u32, 64].into_iter().map(move |lat| cfg(cs, 4, lat, 2)))
-            .collect();
-        let serial = SensitivityRig::run_histogram_sweep(&configs, &idx, 1024, 1);
-        assert_eq!(serial.len(), configs.len());
-        for threads in [2, 4, 32] {
-            let parallel = SensitivityRig::run_histogram_sweep(&configs, &idx, 1024, threads);
-            assert_eq!(serial, parallel, "sweep at {threads} threads diverged");
-        }
     }
 }

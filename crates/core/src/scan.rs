@@ -23,9 +23,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sa_sim::{Addr, Clock, MachineConfig, MemOp, MemRequest, Origin, ScalarKind};
+use sa_sim::{Addr, Cycle, MachineConfig, MemOp, MemRequest, Origin, ScalarKind};
+use sa_telemetry::{HostProfiler, Introspect};
 
 use crate::node::{NodeMemSys, NodeStats};
+use crate::sched::{self, Stepped};
 
 /// Reorder-window entries of the scan engine (same silicon budget class as
 /// a combining store).
@@ -59,7 +61,7 @@ impl ScanResult {
     }
 }
 
-/// Run an inclusive prefix sum over `n` words starting at `base_word`,
+/// Run an inclusive prefix sum over the `input.len()` words from word 0,
 /// writing the results over the inputs — in hardware, on a fresh node
 /// preloaded with `input`.
 ///
@@ -68,53 +70,87 @@ impl ScanResult {
 /// Panics if `input` is empty or the simulation deadlocks.
 pub fn drive_scan(cfg: &MachineConfig, input: &[u64], kind: ScalarKind) -> ScanResult {
     assert!(!input.is_empty(), "empty scan");
-    let base_word = 0u64;
-    let n = input.len();
     let mut node = NodeMemSys::new(*cfg, 0, false);
     match kind {
         ScalarKind::I64 => {
             let v: Vec<i64> = input.iter().map(|&b| b as i64).collect();
-            node.store_mut()
-                .load_i64(Addr::from_word_index(base_word), &v);
+            node.store_mut().load_i64(Addr(0), &v);
         }
         ScalarKind::F64 => {
             let v: Vec<f64> = input.iter().map(|&b| f64::from_bits(b)).collect();
-            node.store_mut()
-                .load_f64(Addr::from_word_index(base_word), &v);
+            node.store_mut().load_f64(Addr(0), &v);
         }
     }
 
-    let issue_width = (cfg.ag.count as u32 * cfg.ag.width) as usize;
-    let mut clock = Clock::with_limit(4_000_000_000);
+    let mut run = ScanRun {
+        node,
+        kind,
+        lanes: cfg.cache.banks,
+        issue_width: (cfg.ag.count as u32 * cfg.ag.width) as usize,
+        next_read: 0,
+        rob: HashMap::new(),
+        consume_at: 0,
+        acc: sa_sim::identity_bits(kind, sa_sim::ScatterOp::Add),
+        prefix: vec![0u64; input.len()],
+        writes_pending: VecDeque::new(),
+        writes_acked: 0,
+        read_ids: HashMap::new(),
+        next_id: 0,
+    };
+    // The engine retries its reads and write-backs every cycle, so it
+    // reports no horizon and every cycle is ticked.
+    let fin = sched::run(&mut run, false, &mut Introspect::off());
+    run.node.flush_to_store();
 
-    // Engine state.
-    let mut next_read = 0usize; // next element whose read we may issue
-    let mut rob: HashMap<u64, u64> = HashMap::new(); // element index -> bits
-    let mut consume_at = 0usize; // next element the accumulator takes
-    let mut acc = sa_sim::identity_bits(kind, sa_sim::ScatterOp::Add);
-    let mut prefix = vec![0u64; n];
-    let mut writes_pending: VecDeque<(usize, u64)> = VecDeque::new();
-    let mut writes_acked = 0usize;
-    let mut read_ids: HashMap<u64, usize> = HashMap::new();
-    let mut next_id = 0u64;
+    ScanResult {
+        cycles: fin.cycles,
+        prefix: run.prefix,
+        stats: run.node.stats(),
+    }
+}
 
-    while writes_acked < n {
-        let now = clock.advance();
+/// One scan in progress: the engine's read cursor, reorder window,
+/// running accumulator and write-back queue.
+struct ScanRun {
+    node: NodeMemSys,
+    kind: ScalarKind,
+    lanes: usize,
+    issue_width: usize,
+    /// Next element whose read may issue.
+    next_read: usize,
+    /// Element index -> bits, for reads returned out of order.
+    rob: HashMap<u64, u64>,
+    /// Next element the accumulator takes.
+    consume_at: usize,
+    acc: u64,
+    prefix: Vec<u64>,
+    writes_pending: VecDeque<(usize, u64)>,
+    writes_acked: usize,
+    read_ids: HashMap<u64, usize>,
+    next_id: u64,
+}
+
+impl Stepped for ScanRun {
+    fn step(&mut self, now: Cycle, _prof: &mut HostProfiler) {
+        let n = self.prefix.len();
 
         // Issue reads while the reorder window has room.
         let mut issued = 0;
-        while issued < issue_width && next_read < n && (next_read - consume_at) < SCAN_ROB_ENTRIES {
-            next_id += 1;
+        while issued < self.issue_width
+            && self.next_read < n
+            && (self.next_read - self.consume_at) < SCAN_ROB_ENTRIES
+        {
+            self.next_id += 1;
             let req = MemRequest {
-                id: next_id,
-                addr: Addr::from_word_index(base_word + next_read as u64),
+                id: self.next_id,
+                addr: Addr::from_word_index(self.next_read as u64),
                 op: MemOp::Read,
                 origin: Origin::AddrGen { node: 0, ag: 0 },
             };
-            match node.inject(req) {
+            match self.node.inject(req) {
                 Ok(()) => {
-                    read_ids.insert(next_id, next_read);
-                    next_read += 1;
+                    self.read_ids.insert(self.next_id, self.next_read);
+                    self.next_read += 1;
                     issued += 1;
                 }
                 Err(_) => break,
@@ -123,62 +159,53 @@ pub fn drive_scan(cfg: &MachineConfig, input: &[u64], kind: ScalarKind) -> ScanR
 
         // Consume in-order elements — one per bank-lane accumulator per
         // cycle (the correction merge keeps them coherent).
-        for _ in 0..cfg.cache.banks {
-            let Some(bits) = rob.remove(&(consume_at as u64)) else {
+        for _ in 0..self.lanes {
+            let Some(bits) = self.rob.remove(&(self.consume_at as u64)) else {
                 break;
             };
-            acc = sa_sim::combine(acc, bits, kind, sa_sim::ScatterOp::Add);
-            prefix[consume_at] = acc;
-            writes_pending.push_back((consume_at, acc));
-            consume_at += 1;
+            self.acc = sa_sim::combine(self.acc, bits, self.kind, sa_sim::ScatterOp::Add);
+            self.prefix[self.consume_at] = self.acc;
+            self.writes_pending.push_back((self.consume_at, self.acc));
+            self.consume_at += 1;
         }
 
         // Issue prefix write-backs, one per lane per cycle.
-        for _ in 0..cfg.cache.banks {
-            let Some(&(idx, bits)) = writes_pending.front() else {
+        for _ in 0..self.lanes {
+            let Some(&(idx, bits)) = self.writes_pending.front() else {
                 break;
             };
-            next_id += 1;
+            self.next_id += 1;
             let req = MemRequest {
-                id: next_id,
-                addr: Addr::from_word_index(base_word + idx as u64),
+                id: self.next_id,
+                addr: Addr::from_word_index(idx as u64),
                 op: MemOp::Write { bits },
                 origin: Origin::SaUnit { node: 0, bank: 0 },
             };
-            match node.inject(req) {
+            match self.node.inject(req) {
                 Ok(()) => {
-                    writes_pending.pop_front();
+                    self.writes_pending.pop_front();
                 }
                 Err(_) => break,
             }
         }
 
-        node.tick(now);
+        self.node.tick(now);
 
-        while let Some(c) = node.pop_completion() {
+        while let Some(c) = self.node.pop_completion() {
             match c.origin {
                 Origin::AddrGen { .. } => {
-                    let idx = read_ids.remove(&c.id).expect("read id known");
-                    rob.insert(idx as u64, c.bits);
+                    let idx = self.read_ids.remove(&c.id).expect("read id known");
+                    self.rob.insert(idx as u64, c.bits);
                 }
-                Origin::SaUnit { .. } => writes_acked += 1,
+                Origin::SaUnit { .. } => self.writes_acked += 1,
                 _ => {}
             }
         }
     }
 
-    // Drain the machine and materialize memory.
-    while !node.is_idle() {
-        let now = clock.advance();
-        node.tick(now);
-        while node.pop_completion().is_some() {}
-    }
-    node.flush_to_store();
-
-    ScanResult {
-        cycles: clock.now().raw(),
-        prefix,
-        stats: node.stats(),
+    /// Done once every write-back is acknowledged and the node has drained.
+    fn settle(&mut self, _now: Cycle, _prof: &mut HostProfiler) -> bool {
+        self.writes_acked == self.prefix.len() && self.node.is_idle()
     }
 }
 
@@ -252,6 +279,15 @@ mod tests {
             (2.0..8.0).contains(&ratio),
             "O(n) scan, got ratio {ratio:.2}"
         );
+    }
+
+    #[test]
+    fn one_element_scan_cycles_are_pinned() {
+        let r = drive_scan(&cfg(), &[5], ScalarKind::I64);
+        // The scan decides "done" before each cycle and drains the node
+        // after the last write-back is acknowledged.
+        assert_eq!(r.prefix_i64(), vec![5]);
+        assert_eq!(r.cycles, 48);
     }
 
     #[test]

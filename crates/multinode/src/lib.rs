@@ -29,14 +29,15 @@
 use std::collections::VecDeque;
 
 use sa_cache::SumBack;
+use sa_core::sched::{self, Stepped};
 use sa_core::{NodeMemSys, NodeStats};
 use sa_faults::{Backoff, FaultPlan, ResilienceStats};
 use sa_net::{Crossbar, CrossbarPort, Message, NetStats};
 use sa_sim::{
-    Addr, Clock, Cycle, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId, ScalarKind,
+    Addr, Cycle, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId, ScalarKind,
     ScatterOp, WORD_BYTES,
 };
-use sa_telemetry::{Introspect, Json, ProbeRegistry, Progress, ReqTracer};
+use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry, ReqTracer};
 
 /// Messages exchanged between nodes.
 #[derive(Clone, Debug)]
@@ -300,7 +301,7 @@ impl MultiNode {
 
         // Block partition: node i owns trace[lo_i..hi_i]. All mutable
         // per-node run state lives in the node's context.
-        let mut ctxs: Vec<NodeCtx> = self
+        let ctxs: Vec<NodeCtx> = self
             .nodes
             .drain(..)
             .enumerate()
@@ -329,42 +330,17 @@ impl MultiNode {
             })
             .collect();
 
-        let mut clock = Clock::with_limit(4_000_000_000);
-        let mut flush_rounds = 0u32;
-        let mut skipped_cycles = 0u64;
-        let fast_forward = self.fast_forward;
-        loop {
-            let now = clock.advance();
-            probe.profiler.time("net", || self.net.tick(now));
-            probe.profiler.time("step", || {
-                for ctx in &mut ctxs {
-                    let mut port = self.net.port(ctx.index);
-                    step_node(ctx, &mut port, now, &params);
-                }
-            });
-            if probe.recorder.due(now.raw()) {
-                let mut reg = ProbeRegistry::new();
-                reg.register("net", &self.net);
-                for ctx in &ctxs {
-                    reg.register(&format!("node{}", ctx.index), &ctx.node);
-                }
-                probe.recorder.record(reg, now.raw(), skipped_cycles);
-            }
-            if probe.progress.is_on() && now.raw() & 0x3FF == 0 {
-                emit_trace_heartbeat(&probe.progress, now, skipped_cycles, n);
-            }
-            if probe.profiler.time("sync", || {
-                sync_phase(&self.net, &mut ctxs, total, &params, &mut flush_rounds)
-            }) {
-                break;
-            }
-            if fast_forward {
-                let cap = probe.recorder.next_due();
-                skipped_cycles += probe.profiler.time("skip", || {
-                    fast_forward_skip(&mut clock, &mut self.net, &mut ctxs, now, cap)
-                });
-            }
-        }
+        let mut run = TraceRun {
+            net: &mut self.net,
+            ctxs,
+            params,
+            total,
+            flush_rounds: 0,
+        };
+        let fin = sched::run(&mut run, self.fast_forward, probe);
+        let TraceRun {
+            ctxs, flush_rounds, ..
+        } = run;
 
         // Materialize coherent per-node memory for verification reads, and
         // fold every node's lifecycle records into the run-level tracer in
@@ -393,8 +369,8 @@ impl MultiNode {
         }
 
         TraceReport {
-            cycles: clock.now().raw(),
-            skipped_cycles,
+            cycles: fin.cycles,
+            skipped_cycles: fin.skipped_cycles,
             adds: total as u64,
             nodes: n,
             sum_back_lines,
@@ -688,78 +664,82 @@ fn step_node(ctx: &mut NodeCtx, port: &mut CrossbarPort<'_, NetMsg>, now: Cycle,
     }
 }
 
-/// Event-horizon fast-forward for the coordinator: when every node has
-/// issued its whole trace share, holds nothing staged or outboxed, and
-/// neither the fabric nor any node can change state before cycle `h`, jump
-/// the clock to `h - 1` (the next [`Clock::advance`] lands exactly on the
-/// horizon). Returns the number of cycles skipped (0 when any retry or
-/// state change is possible next cycle).
-///
-/// Any cycle this skips is one in which `step_node` would only have ticked
-/// idle components: delivery queues empty (fabric horizon covers them),
-/// nothing to inject or forward (checked here), and no completions pending
-/// (node horizon covers them). Per-cycle stall counters cannot advance in
-/// such a cycle, and the time-weighted integrals are folded by
-/// [`NodeMemSys::skip_cycles`] / [`Crossbar::skip_cycles`], so reports stay
-/// byte-identical.
-fn fast_forward_skip(
-    clock: &mut Clock,
-    net: &mut Crossbar<NetMsg>,
-    ctxs: &mut [NodeCtx],
-    now: Cycle,
-    probe_cap: Option<u64>,
-) -> u64 {
-    if ctxs
-        .iter()
-        .any(|c| c.inj.staged.is_some() || c.inj.cursor < c.inj.items.len() || !c.outbox.is_empty())
-    {
-        return 0;
-    }
-    let mut horizon = net.next_event(now);
-    for c in ctxs.iter() {
-        if let Some(t) = c.node.next_event(now) {
-            horizon = Some(horizon.map_or(t, |h| h.min(t)));
-        }
-    }
-    let Some(mut h) = horizon else { return 0 };
-    // Never skip past a due probe cycle: snapshot cadence must see every
-    // due cycle ticked regardless of skipping.
-    if let Some(due) = probe_cap {
-        h = h.min(Cycle(due.max(now.raw() + 1)));
-    }
-    if h <= now + 1 {
-        return 0;
-    }
-    let k = h.raw() - now.raw() - 1;
-    for ctx in ctxs.iter_mut() {
-        ctx.node.skip_cycles(now, k);
-    }
-    net.skip_cycles(now, k);
-    clock.skip_to(Cycle(h.raw() - 1));
-    k
+/// One trace replay in progress: the fabric and every node's context.
+struct TraceRun<'a> {
+    net: &'a mut Crossbar<NetMsg>,
+    ctxs: Vec<NodeCtx>,
+    params: StepParams,
+    total: usize,
+    flush_rounds: u32,
 }
 
-/// Emit one trace-replay heartbeat (coordinator only; wall-clock throttled
-/// inside [`Progress::heartbeat`]).
-fn emit_trace_heartbeat(progress: &Progress, now: Cycle, skipped_cycles: u64, nodes: usize) {
-    let elapsed = progress.elapsed().as_secs_f64();
-    progress.heartbeat(|o| {
-        o.push("cycle", Json::UInt(now.raw()));
-        o.push("nodes", Json::UInt(nodes as u64));
-        o.push("skipped_cycles", Json::UInt(skipped_cycles));
-        let rate = if elapsed > 0.0 {
-            now.raw() as f64 / elapsed
-        } else {
-            0.0
-        };
-        o.push("sim_cycles_per_sec", Json::Num(rate));
-        let ff = if now.raw() > 0 {
-            skipped_cycles as f64 / now.raw() as f64
-        } else {
-            0.0
-        };
-        o.push("ff_ratio", Json::Num(ff));
-    });
+impl Stepped for TraceRun<'_> {
+    fn step(&mut self, now: Cycle, prof: &mut HostProfiler) {
+        prof.time("net", || self.net.tick(now));
+        prof.time("step", || {
+            for ctx in &mut self.ctxs {
+                let mut port = self.net.port(ctx.index);
+                step_node(ctx, &mut port, now, &self.params);
+            }
+        });
+    }
+
+    /// Quiescence is decided after a cycle (an empty trace still ticks
+    /// once), and a quiescent cycle runs one flush round.
+    fn settle(&mut self, now: Cycle, prof: &mut HostProfiler) -> bool {
+        now > Cycle::ZERO
+            && prof.time("sync", || {
+                sync_phase(
+                    self.net,
+                    &mut self.ctxs,
+                    self.total,
+                    &self.params,
+                    &mut self.flush_rounds,
+                )
+            })
+    }
+
+    /// Skippable once every node has issued its whole trace share and holds
+    /// nothing staged or outboxed; then the horizon is the earliest fabric
+    /// or node event.
+    ///
+    /// Any cycle skipped is one in which `step_node` would only have ticked
+    /// idle components: delivery queues empty (the fabric horizon covers
+    /// them), nothing to inject or forward (checked here), and no
+    /// completions pending (the node horizon covers them). Per-cycle stall
+    /// counters cannot advance in such a cycle, and the time-weighted
+    /// integrals are folded by [`NodeMemSys::skip_cycles`] /
+    /// [`Crossbar::skip_cycles`], so reports stay byte-identical.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        if self.ctxs.iter().any(|c| {
+            c.inj.staged.is_some() || c.inj.cursor < c.inj.items.len() || !c.outbox.is_empty()
+        }) {
+            return None;
+        }
+        let nodes = self.ctxs.iter().map(|c| c.node.next_event(now));
+        std::iter::once(self.net.next_event(now))
+            .chain(nodes)
+            .flatten()
+            .min()
+    }
+
+    fn skip(&mut self, now: Cycle, k: u64) {
+        for ctx in &mut self.ctxs {
+            ctx.node.skip_cycles(now, k);
+        }
+        self.net.skip_cycles(now, k);
+    }
+
+    fn register(&self, reg: &mut ProbeRegistry) {
+        reg.register("net", &*self.net);
+        for ctx in &self.ctxs {
+            reg.register(&format!("node{}", ctx.index), &ctx.node);
+        }
+    }
+
+    fn heartbeat(&self, o: &mut Json) {
+        o.push("nodes", Json::UInt(self.ctxs.len() as u64));
+    }
 }
 
 /// The serialized end-of-cycle phase: decide quiescence from the summed
@@ -1107,6 +1087,19 @@ mod tests {
         assert_eq!(bits, rbits, "faulty ff: application results bit-identical");
         r.skipped_cycles = 0;
         assert_reports_identical(&faulty, &r, "faulty ff");
+    }
+
+    #[test]
+    fn empty_trace_ticks_one_cycle() {
+        // The coordinator decides "done" after a cycle, so an empty trace
+        // still ticks once, with no flush round and nothing skipped.
+        for ff in [true, false] {
+            let mut mn = MultiNode::new(machine(), 4, NetworkConfig::low(), true);
+            mn.set_fast_forward(ff);
+            let r = mn.run_trace(&[], &[]);
+            assert_eq!((r.cycles, r.skipped_cycles, r.flush_rounds), (1, 0, 0));
+            assert_eq!(r.adds, 0);
+        }
     }
 
     #[test]

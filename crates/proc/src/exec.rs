@@ -4,8 +4,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fxhash::FxHashMap;
+use sa_core::sched::{self, Stepped};
 use sa_core::NodeMemSys;
-use sa_sim::{Clock, Cycle, MachineConfig, MemOp, MemRequest, Origin, ReqId};
+use sa_sim::{Cycle, MachineConfig, MemOp, MemRequest, Origin, ReqId};
+use sa_telemetry::{HostProfiler, Introspect, TraceSink};
 
 use crate::program::{OpId, StreamOp, StreamProgram};
 
@@ -265,213 +267,32 @@ impl Executor {
     ///
     /// Panics if the simulation deadlocks (cycle limit exceeded) — which
     /// would indicate a bug in the machine model, not in the program.
-    pub fn run<T: sa_telemetry::TraceSink>(
-        &self,
-        prog: &StreamProgram,
-        node: &mut NodeMemSys<T>,
-    ) -> ExecReport {
-        let mut board = Scoreboard::new(prog);
-        let mut spans = vec![OpSpan::default(); prog.len()];
-        let mut ags: Vec<Option<MemRun>> = (0..self.cfg.ag.count).map(|_| None).collect();
-        let mut kernel: Option<KernelRun> = None;
-        // Each in-flight request's AG slot.
-        let mut req_slot: FxHashMap<ReqId, usize> = FxHashMap::default();
-        let mut next_id: ReqId = 0;
-        let mut clock = Clock::with_limit(8_000_000_000);
-        let mut remaining = prog.len();
-        let mut live_srf: u64 = 0;
-        let mut peak_srf: u64 = 0;
-        let fast_forward = node.fast_forward();
-        let mut skipped_cycles: u64 = 0;
-
-        while remaining > 0 {
-            let now = clock.advance();
-            let t = now.raw();
-
-            // Start ready ops on free resources, in ascending op id.
-            while let Some(id) =
-                board.pop_startable(kernel.is_none(), ags.iter().any(Option::is_none))
-            {
-                let op = prog.op(id).0;
-                spans[id].start = t;
-                live_srf += srf_footprint(op);
-                peak_srf = peak_srf.max(live_srf);
-                match op {
-                    StreamOp::Kernel {
-                        elements,
-                        ops_per_element,
-                        srf_words_per_element,
-                        ..
-                    } => {
-                        let dur =
-                            self.kernel_cycles(*elements, *ops_per_element, *srf_words_per_element);
-                        kernel = Some(KernelRun {
-                            op: id,
-                            end_at: t + dur,
-                        });
-                    }
-                    _ if op.mem_refs() == 0 => {
-                        // Degenerate empty stream: completes at once, and its
-                        // (higher-id) dependents may start this same cycle.
-                        spans[id].end = t;
-                        remaining -= 1;
-                        live_srf -= srf_footprint(op);
-                        board.finish(id);
-                    }
-                    _ => {
-                        let slot = ags.iter().position(Option::is_none).expect("free AG");
-                        ags[slot] = Some(MemRun {
-                            op: id,
-                            issue_from: t + u64::from(self.cfg.ag.startup_cycles),
-                            cursor: 0,
-                            acked: 0,
-                            total: op.mem_refs(),
-                        });
-                    }
-                }
-            }
-
-            // Kernel completion.
-            if kernel.as_ref().is_some_and(|k| k.end_at <= t) {
-                let k = kernel.take().expect("checked");
-                spans[k.op].end = t;
-                remaining -= 1;
-                live_srf -= srf_footprint(prog.op(k.op).0);
-                board.finish(k.op);
-            }
-
-            // Issue memory requests from each busy AG.
-            for (slot, ag) in ags.iter_mut().enumerate() {
-                let Some(run) = ag.as_mut() else { continue };
-                if run.issue_from > t {
-                    continue;
-                }
-                let (op, _) = prog.op(run.op);
-                for _ in 0..self.cfg.ag.width {
-                    if run.cursor >= run.total {
-                        break;
-                    }
-                    let i = run.cursor;
-                    let req = match op {
-                        StreamOp::Gather { pattern } => MemRequest {
-                            id: next_id,
-                            addr: pattern.addr(i),
-                            op: MemOp::Read,
-                            origin: Origin::AddrGen { node: 0, ag: slot },
-                        },
-                        StreamOp::Scatter { pattern, values } => MemRequest {
-                            id: next_id,
-                            addr: pattern.addr(i),
-                            op: MemOp::Write {
-                                bits: values[i as usize],
-                            },
-                            origin: Origin::AddrGen { node: 0, ag: slot },
-                        },
-                        StreamOp::ScatterAdd {
-                            pattern,
-                            values,
-                            kind,
-                            op,
-                        } => MemRequest {
-                            id: next_id,
-                            addr: pattern.addr(i),
-                            op: MemOp::Scatter {
-                                bits: values[i as usize],
-                                kind: *kind,
-                                op: *op,
-                                fetch: false,
-                            },
-                            origin: Origin::AddrGen { node: 0, ag: slot },
-                        },
-                        StreamOp::Kernel { .. } => unreachable!("kernels don't use AGs"),
-                    };
-                    match node.inject_traced(req, now) {
-                        Ok(()) => {
-                            req_slot.insert(next_id, slot);
-                            next_id += 1;
-                            run.cursor += 1;
-                        }
-                        Err(_) => break, // bank queue full: stall this AG
-                    }
-                }
-            }
-
-            node.tick(now);
-
-            // Completions retire requests and, eventually, their ops.
-            while let Some(c) = node.pop_completion() {
-                let Some(slot) = req_slot.remove(&c.id) else {
-                    continue;
-                };
-                let run = ags[slot].as_mut().expect("request's AG is busy");
-                run.acked += 1;
-                if run.acked == run.total {
-                    let op = run.op;
-                    ags[slot] = None;
-                    spans[op].end = t;
-                    remaining -= 1;
-                    live_srf -= srf_footprint(prog.op(op).0);
-                    board.finish(op);
-                }
-            }
-
-            // Fast-forward: when no op can start next cycle and no AG is
-            // actively issuing, nothing on the scoreboard changes until the
-            // next kernel/AG wakeup or node event — jump the clock there.
-            if fast_forward && remaining > 0 {
-                let can_start = board.can_start(kernel.is_none(), ags.iter().any(Option::is_none));
-                let issuing = ags
-                    .iter()
-                    .flatten()
-                    .any(|run| run.issue_from <= t && run.cursor < run.total);
-                if !can_start && !issuing {
-                    let mut horizon: Option<u64> = None;
-                    let mut fold = |v: u64| horizon = Some(horizon.map_or(v, |h| h.min(v)));
-                    if let Some(k) = &kernel {
-                        fold(k.end_at); // > t: completion was checked above
-                    }
-                    for run in ags.iter().flatten() {
-                        if run.issue_from > t && run.cursor < run.total {
-                            fold(run.issue_from);
-                        }
-                    }
-                    if let Some(e) = node.next_event(now) {
-                        fold(e.raw());
-                    }
-                    if let Some(h) = horizon {
-                        if h > t + 1 {
-                            let k = h - t - 1;
-                            node.skip_cycles(now, k);
-                            clock.skip_to(Cycle(h - 1));
-                            skipped_cycles += k;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Drain any in-flight write-backs so the machine is quiescent, then
-        // materialize the coherent memory image.
-        while !node.is_idle() {
-            let now = clock.advance();
-            node.tick(now);
-            while node.pop_completion().is_some() {}
-            if fast_forward {
-                if let Some(h) = node.next_event(now) {
-                    if h > now + 1 {
-                        let k = h.raw() - now.raw() - 1;
-                        node.skip_cycles(now, k);
-                        clock.skip_to(Cycle(h.raw() - 1));
-                        skipped_cycles += k;
-                    }
-                }
-            }
-        }
+    pub fn run<T: TraceSink>(&self, prog: &StreamProgram, node: &mut NodeMemSys<T>) -> ExecReport {
+        let mut run = ExecRun {
+            exec: *self,
+            prog,
+            node,
+            board: Scoreboard::new(prog),
+            spans: vec![OpSpan::default(); prog.len()],
+            ags: (0..self.cfg.ag.count).map(|_| None).collect(),
+            kernel: None,
+            req_slot: FxHashMap::default(),
+            next_id: 0,
+            remaining: prog.len(),
+            live_srf: 0,
+            peak_srf: 0,
+            was_running: false,
+        };
+        let fast_forward = run.node.fast_forward();
+        let fin = sched::run(&mut run, fast_forward, &mut Introspect::off());
+        let ExecRun {
+            spans, peak_srf, ..
+        } = run;
         node.flush_to_store();
 
         let srf_capacity = self.cfg.compute.srf_bytes / sa_sim::WORD_BYTES;
         ExecReport {
-            cycles: clock.now().raw(),
+            cycles: fin.cycles,
             spans,
             stats: node.stats(),
             program: ProgramCounters {
@@ -483,8 +304,212 @@ impl Executor {
                 overflow: peak_srf > srf_capacity,
             },
             req_trace: node.take_req_trace(),
-            skipped_cycles,
+            skipped_cycles: fin.skipped_cycles,
         }
+    }
+}
+
+/// One program run in progress: the scoreboard, the busy address
+/// generators and cluster array, and the node they drive. Once every op has
+/// finished, cycles only drain the node's in-flight write-backs.
+struct ExecRun<'p, 'n, T: TraceSink> {
+    exec: Executor,
+    prog: &'p StreamProgram,
+    node: &'n mut NodeMemSys<T>,
+    board: Scoreboard<'p>,
+    spans: Vec<OpSpan>,
+    ags: Vec<Option<MemRun>>,
+    kernel: Option<KernelRun>,
+    /// Each in-flight request's AG slot.
+    req_slot: FxHashMap<ReqId, usize>,
+    next_id: ReqId,
+    remaining: usize,
+    live_srf: u64,
+    peak_srf: u64,
+    /// Whether the last stepped cycle began with ops unfinished. The cycle
+    /// that finishes the last op never skips; the drain cycles after it do.
+    was_running: bool,
+}
+
+impl<T: TraceSink> ExecRun<'_, '_, T> {
+    /// Record that op `id` finished at cycle `t`.
+    fn finish(&mut self, id: OpId, t: u64) {
+        self.spans[id].end = t;
+        self.remaining -= 1;
+        self.live_srf -= srf_footprint(self.prog.op(id).0);
+        self.board.finish(id);
+    }
+}
+
+impl<T: TraceSink> Stepped for ExecRun<'_, '_, T> {
+    fn step(&mut self, now: Cycle, _prof: &mut HostProfiler) {
+        let t = now.raw();
+        let prog = self.prog;
+        self.was_running = self.remaining > 0;
+
+        // Start ready ops on free resources, in ascending op id.
+        while let Some(id) = self
+            .board
+            .pop_startable(self.kernel.is_none(), self.ags.iter().any(Option::is_none))
+        {
+            let op = prog.op(id).0;
+            self.spans[id].start = t;
+            self.live_srf += srf_footprint(op);
+            self.peak_srf = self.peak_srf.max(self.live_srf);
+            match op {
+                StreamOp::Kernel {
+                    elements,
+                    ops_per_element,
+                    srf_words_per_element,
+                    ..
+                } => {
+                    let dur = self.exec.kernel_cycles(
+                        *elements,
+                        *ops_per_element,
+                        *srf_words_per_element,
+                    );
+                    self.kernel = Some(KernelRun {
+                        op: id,
+                        end_at: t + dur,
+                    });
+                }
+                // Degenerate empty stream: completes at once, and its
+                // (higher-id) dependents may start this same cycle.
+                _ if op.mem_refs() == 0 => self.finish(id, t),
+                _ => {
+                    let slot = self.ags.iter().position(Option::is_none).expect("free AG");
+                    self.ags[slot] = Some(MemRun {
+                        op: id,
+                        issue_from: t + u64::from(self.exec.cfg.ag.startup_cycles),
+                        cursor: 0,
+                        acked: 0,
+                        total: op.mem_refs(),
+                    });
+                }
+            }
+        }
+
+        // Kernel completion.
+        if let Some(k) = self.kernel.take_if(|k| k.end_at <= t) {
+            self.finish(k.op, t);
+        }
+
+        // Issue memory requests from each busy AG.
+        for (slot, ag) in self.ags.iter_mut().enumerate() {
+            let Some(run) = ag.as_mut() else { continue };
+            if run.issue_from > t {
+                continue;
+            }
+            let (op, _) = prog.op(run.op);
+            for _ in 0..self.exec.cfg.ag.width {
+                if run.cursor >= run.total {
+                    break;
+                }
+                let i = run.cursor;
+                let id = self.next_id;
+                let origin = Origin::AddrGen { node: 0, ag: slot };
+                let req = match op {
+                    StreamOp::Gather { pattern } => MemRequest {
+                        id,
+                        addr: pattern.addr(i),
+                        op: MemOp::Read,
+                        origin,
+                    },
+                    StreamOp::Scatter { pattern, values } => MemRequest {
+                        id,
+                        addr: pattern.addr(i),
+                        op: MemOp::Write {
+                            bits: values[i as usize],
+                        },
+                        origin,
+                    },
+                    StreamOp::ScatterAdd {
+                        pattern,
+                        values,
+                        kind,
+                        op,
+                    } => MemRequest {
+                        id,
+                        addr: pattern.addr(i),
+                        op: MemOp::Scatter {
+                            bits: values[i as usize],
+                            kind: *kind,
+                            op: *op,
+                            fetch: false,
+                        },
+                        origin,
+                    },
+                    StreamOp::Kernel { .. } => unreachable!("kernels don't use AGs"),
+                };
+                match self.node.inject_traced(req, now) {
+                    Ok(()) => {
+                        self.req_slot.insert(id, slot);
+                        self.next_id += 1;
+                        run.cursor += 1;
+                    }
+                    Err(_) => break, // bank queue full: stall this AG
+                }
+            }
+        }
+
+        self.node.tick(now);
+
+        // Completions retire requests and, eventually, their ops.
+        while let Some(c) = self.node.pop_completion() {
+            let Some(slot) = self.req_slot.remove(&c.id) else {
+                continue;
+            };
+            let run = self.ags[slot].as_mut().expect("request's AG is busy");
+            run.acked += 1;
+            if run.acked == run.total {
+                let op = run.op;
+                self.ags[slot] = None;
+                self.finish(op, t);
+            }
+        }
+    }
+
+    /// Done once every op has finished and the node has drained its
+    /// in-flight write-backs (decided before the first cycle too: an empty
+    /// program takes no cycles).
+    fn settle(&mut self, _now: Cycle, _prof: &mut HostProfiler) -> bool {
+        self.remaining == 0 && self.node.is_idle()
+    }
+
+    /// Skippable when no op can start next cycle and no AG is actively
+    /// issuing: nothing on the scoreboard changes until the next kernel or
+    /// AG wakeup or node event.
+    fn horizon(&self, now: Cycle) -> Option<Cycle> {
+        let t = now.raw();
+        if self.was_running && self.remaining == 0 {
+            return None;
+        }
+        let ag_free = self.ags.iter().any(Option::is_none);
+        let issuing = self
+            .ags
+            .iter()
+            .flatten()
+            .any(|run| run.issue_from <= t && run.cursor < run.total);
+        if self.board.can_start(self.kernel.is_none(), ag_free) || issuing {
+            return None;
+        }
+        // A running kernel ends after `t`: completion was checked this cycle.
+        let kernel = self.kernel.as_ref().map(|k| Cycle(k.end_at));
+        let wakeups = self
+            .ags
+            .iter()
+            .flatten()
+            .filter(|run| run.issue_from > t && run.cursor < run.total)
+            .map(|run| Cycle(run.issue_from));
+        kernel
+            .into_iter()
+            .chain(wakeups)
+            .chain(self.node.next_event(now))
+            .min()
+    }
+
+    fn skip(&mut self, now: Cycle, k: u64) {
+        self.node.skip_cycles(now, k);
     }
 }
 

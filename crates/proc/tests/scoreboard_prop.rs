@@ -119,3 +119,26 @@ proptest! {
         );
     }
 }
+
+/// `skipped_cycles` is reported in results, so the skip schedule is pinned
+/// too. These programs end with write-backs in flight after their last op
+/// finishes: the cycle that finishes it never skips; the drain after it
+/// does.
+#[test]
+fn skipped_cycles_are_pinned_when_the_last_op_leaves_writes_in_flight() {
+    for (seed, ag_count, cycles, skipped) in [
+        (4u64, 3usize, 737u64, 398u64),
+        (30, 1, 985, 681),
+        (45, 2, 752, 282),
+        (65, 1, 571, 382),
+    ] {
+        let mut cfg = MachineConfig::merrimac();
+        cfg.ag.count = ag_count;
+        let (r, _) = run(cfg, &random_program(seed), true);
+        assert_eq!(
+            (r.cycles, r.skipped_cycles),
+            (cycles, skipped),
+            "seed {seed}"
+        );
+    }
+}

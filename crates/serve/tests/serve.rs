@@ -192,19 +192,24 @@ fn panicking_job_answers_500_and_the_server_keeps_serving() {
         tenant_inflight: 1,
         ..ServeConfig::default()
     });
-    // A hit latency this long passes validation but trips the simulator's
-    // runaway-cycle guard, which panics.
+    // Hit and FU latencies this long pass validation, but one scatter-add
+    // then takes more than the simulator's runaway-cycle limit, which
+    // panics.
     let mut spec = SessionSpec::new(Workload::Histogram {
         base_word: 0,
         indices: (0..64u64).collect(),
     });
     spec.config.cache.hit_latency = u32::MAX;
+    spec.config.sa.fu_latency = u32::MAX;
     let text = spec.to_json().to_string_pretty();
     let failed = client::submit(&addr, &text, "carol", None).expect("submit");
     assert_eq!(failed.status, 500);
     let doc = Json::parse(&failed.body).expect("error json");
     let error = doc.get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(error.starts_with("job failed"), "unexpected error: {error}");
+    assert!(
+        error.starts_with("job failed") && error.contains("simulation exceeded"),
+        "unexpected error: {error}"
+    );
 
     assert_eq!(client::health(&addr).expect("health").status, 200);
     let ok = client::submit(&addr, &histogram_spec(64, 16), "carol", None).expect("submit");

@@ -154,13 +154,15 @@ fn software_baselines_agree_exactly_on_integer_streams() {
 /// engine does: merged counters through the metrics registry, then
 /// `bottleneck_json` over the assembled document.
 fn bottleneck_section(seed: u64, range: u64, n: u64, fast_forward: bool) -> sa_telemetry::Json {
-    use sa_core::{drive_scatter_with, NodeMemSys};
-    use sa_telemetry::{bottleneck_json, validate_bottleneck_json, Json, MetricsRegistry};
+    use sa_core::{drive_scatter_probed, NodeMemSys};
+    use sa_telemetry::{
+        bottleneck_json, validate_bottleneck_json, Introspect, Json, MetricsRegistry,
+    };
     let mut rng = Rng64::new(seed);
     let kernel = ScatterKernel::histogram(0, (0..n).map(|_| rng.below(range)).collect());
     let mut node = NodeMemSys::new(machine(), 0, false);
     node.set_fast_forward(fast_forward);
-    let run = drive_scatter_with(node, &kernel, false);
+    let run = drive_scatter_probed(node, &kernel, false, &mut Introspect::off());
     let mut reg = MetricsRegistry::new();
     {
         let mut scope = reg.scope("run");
