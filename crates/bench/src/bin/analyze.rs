@@ -86,17 +86,7 @@ positional modes:
                                       adds --nodes N --net low|high
                                       --combining on|off --topology
                                       flat|hypercube)
-  submit <job.json>                   POST a job spec to a running serve
-                                      daemon (--addr HOST:PORT, --tenant T,
-                                      --out FILE, --stream); the cache/
-                                      simulated sidecar goes to stderr
-  serve stats|health|shutdown         query or stop a running serve daemon
-                                      (--addr HOST:PORT)
 ";
-
-/// Where `submit` / `serve` look for the daemon unless `--addr` says
-/// otherwise (the `serve` binary's default listen address).
-const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7411";
 
 /// Default `analyze cache gc` size bound: 1 GiB.
 const DEFAULT_GC_BYTES: u64 = 1 << 30;
@@ -563,19 +553,14 @@ const KNOWN_FLAGS: &[&str] = &[
     "net",
     "combining",
     "topology",
-    // submit / serve client modes
-    "addr",
-    "tenant",
-    "out",
-    "stream",
 ];
 
 fn usage_exit(context: &str) -> ! {
     sa_bench::usage_error(context, USAGE);
 }
 
-/// `analyze mkspec histogram|multinode`: print a ready-to-submit
-/// `sa-session-spec` job file, deterministically generated from `--seed`,
+/// `analyze mkspec histogram|multinode`: print a `sa-session-spec` job
+/// file for `--spec`, deterministically generated from `--seed`,
 /// so CI and examples never need to commit large index arrays.
 fn mkspec_mode(args: &Args) -> Result<(), String> {
     let kind = match args.positional().get(1).map(String::as_str) {
@@ -634,70 +619,6 @@ fn mkspec_mode(args: &Args) -> Result<(), String> {
         }
     };
     println!("{}", spec.to_json().to_string_pretty());
-    Ok(())
-}
-
-/// `analyze submit <job.json>`: POST a spec to a serve daemon. The result
-/// body goes to stdout (or `--out FILE`); the cache/simulated sidecar and
-/// any streamed progress lines go to stderr so the body stays clean for
-/// byte-identity checks.
-fn submit_mode(args: &Args) -> Result<(), String> {
-    let Some(path) = args.positional().get(1) else {
-        return Err("submit needs a job file path".to_string());
-    };
-    let spec_text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let addr = args.raw("addr").unwrap_or(DEFAULT_SERVE_ADDR);
-    let tenant = args.raw("tenant").unwrap_or("");
-    let mut print_line = |line: &str| eprintln!("{line}");
-    let on_line: Option<&mut dyn FnMut(&str)> = if args.has("stream") {
-        Some(&mut print_line)
-    } else {
-        None
-    };
-    let resp = sa_serve::client::submit(addr, &spec_text, tenant, on_line)?;
-    let cache = resp.header("x-sa-cache").unwrap_or("-");
-    let simulated = resp.header("x-sa-simulated").unwrap_or("-");
-    eprintln!(
-        "submit: status={} cache={cache} simulated={simulated}",
-        resp.status
-    );
-    if resp.status != 200 {
-        return Err(format!(
-            "server answered {}: {}",
-            resp.status,
-            resp.body.trim()
-        ));
-    }
-    match args.raw("out") {
-        Some(out) => {
-            let mut body = resp.body;
-            if !body.ends_with('\n') {
-                body.push('\n');
-            }
-            std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;
-        }
-        None => println!("{}", resp.body.trim_end()),
-    }
-    Ok(())
-}
-
-/// `analyze serve stats|health|shutdown`: query or stop a running daemon.
-fn serve_mode(args: &Args) -> Result<(), String> {
-    let addr = args.raw("addr").unwrap_or(DEFAULT_SERVE_ADDR);
-    let resp = match args.positional().get(1).map(String::as_str) {
-        Some("stats") => sa_serve::client::stats(addr)?,
-        Some("health") => sa_serve::client::health(addr)?,
-        Some("shutdown") => sa_serve::client::shutdown(addr)?,
-        Some(other) => return Err(format!("unknown serve subcommand '{other}'")),
-        None => return Err("serve mode needs a subcommand: stats | health | shutdown".to_string()),
-    };
-    print!("{}", resp.body);
-    if !resp.body.ends_with('\n') {
-        println!();
-    }
-    if resp.status != 200 {
-        return Err(format!("server answered {}", resp.status));
-    }
     Ok(())
 }
 
@@ -784,29 +705,6 @@ fn main() {
             // Everything that can go wrong here is a command-line problem.
             if let Err(e) = mkspec_mode(&args) {
                 usage_exit(&e);
-            }
-        }
-        Some("submit") => {
-            if args.positional().get(1).is_none() {
-                usage_exit("submit needs a job file path");
-            }
-            if let Err(e) = submit_mode(&args) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        Some("serve") => {
-            match args.positional().get(1).map(String::as_str) {
-                Some("stats" | "health" | "shutdown") => {}
-                Some(other) => {
-                    let other = other.to_owned();
-                    usage_exit(&format!("unknown serve subcommand '{other}'"));
-                }
-                None => usage_exit("serve mode needs a subcommand: stats | health | shutdown"),
-            }
-            if let Err(e) = serve_mode(&args) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
             }
         }
         Some(other) => {

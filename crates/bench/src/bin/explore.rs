@@ -136,6 +136,7 @@ fn cmd_multinode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         "hypercube" => Topology::Hypercube,
         _ => Topology::Flat,
     };
+    sa_multinode::check_nodes(nodes, topology)?;
     let combining = args.has("combining");
     let input = input_from(args)?;
     let values = vec![1.0f64; input.len()];

@@ -38,7 +38,9 @@
 //! Both modes must report identical simulated cycle counts — the binary
 //! asserts it — so the comparison isolates pure wall-clock cost. Baseline
 //! comparison is warn-only: wall-clock numbers depend on the host, so CI
-//! publishes them as a tracked metric rather than a hard gate.
+//! publishes them as a tracked metric rather than a hard gate. It compares
+//! only runs at the baseline's scale: a `--quick` run against a paper-scale
+//! baseline (or the reverse) prints one note and compares nothing.
 //!
 //! A second table measures the introspection layer (`docs/OBSERVABILITY.md`):
 //! the same driver hot loop with probes off, snapshotting every 4096
@@ -150,12 +152,25 @@ fn measure(run: &dyn Fn() -> u64, repeats: usize) -> (u64, f64) {
 }
 
 /// Warn (never fail) when a run's `key` metric fell below half its
-/// baseline value. Returns the number of warnings for the summary line.
-fn compare_to_baseline(baseline: &Json, runs: &[Json], key: &str) -> usize {
+/// baseline value. Returns the number of warnings for the summary line,
+/// or `None` when nothing was compared. A baseline recorded at the other
+/// scale (`quick`) is not comparable: one line says so and no row is
+/// compared.
+fn compare_to_baseline(baseline: &Json, runs: &[Json], key: &str, quick: bool) -> Option<usize> {
     let Some(base_runs) = baseline.get("runs").and_then(Json::as_arr) else {
         eprintln!("warning: baseline has no \"runs\" array; skipping comparison");
-        return 0;
+        return None;
     };
+    let scale = |q: bool| if q { "quick" } else { "paper scale" };
+    let base_quick = baseline.get("quick").and_then(Json::as_bool);
+    if base_quick != Some(quick) {
+        let base_scale = base_quick.map_or("an unrecorded scale", scale);
+        eprintln!(
+            "note: baseline is {base_scale}, this run is {}; skipping comparison",
+            scale(quick)
+        );
+        return None;
+    }
     let mut warnings = 0;
     for run in runs {
         let name = run.get("name").and_then(Json::as_str).unwrap_or("?");
@@ -174,7 +189,7 @@ fn compare_to_baseline(baseline: &Json, runs: &[Json], key: &str) -> usize {
             }
         }
     }
-    warnings
+    Some(warnings)
 }
 
 /// One probe-overhead variant: builds a fresh node and [`Introspect`] (so
@@ -503,8 +518,8 @@ fn main() {
         match std::fs::read_to_string(path) {
             Ok(text) => match Json::parse(&text) {
                 Ok(doc) => {
-                    let warnings = compare_to_baseline(&doc, &runs, "cycles_per_sec_ff_on");
-                    if warnings == 0 {
+                    let warnings = compare_to_baseline(&doc, &runs, "cycles_per_sec_ff_on", quick);
+                    if warnings == Some(0) {
                         println!("\nbaseline {path}: within warn threshold");
                     }
                 }
@@ -536,8 +551,8 @@ fn main() {
         match std::fs::read_to_string(path) {
             Ok(text) => match Json::parse(&text) {
                 Ok(doc) => {
-                    let warnings = compare_to_baseline(&doc, &probe_runs, "cycles_per_sec");
-                    if warnings == 0 {
+                    let warnings = compare_to_baseline(&doc, &probe_runs, "cycles_per_sec", quick);
+                    if warnings == Some(0) {
                         println!("\nprobe baseline {path}: within warn threshold");
                     }
                 }

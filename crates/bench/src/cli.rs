@@ -29,7 +29,7 @@
 //!   nondeterministic `host_profile` stats sidecar
 //! - `--spec JOB.json` — run a serialized `SessionSpec` job instead of
 //!   the binary's built-in experiment (see [`crate::specrun`] and
-//!   `docs/SERVING.md`); handled here so every figure binary gets it
+//!   `docs/SPEC.md`); handled here so every figure binary gets it
 //! - `--cache[=DIR]` / `--cache DIR` — content-addressed result cache for
 //!   sweep points and the canonical run (see `docs/PERFORMANCE.md`); a bare
 //!   `--cache` uses `SA_CACHE_DIR` or `.sa-cache`, and setting the

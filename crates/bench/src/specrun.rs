@@ -4,25 +4,26 @@
 //! Every figure/ablation binary parses its flags through [`Cli`], so the
 //! hook lives there: when `--spec` is present the binary loads the JSON job
 //! description, overlays any execution knobs given explicitly on the
-//! command line (`--fast-forward`, `--probe-interval`), runs the session through the same cache/progress
-//! plumbing as the HTTP daemon, prints a deterministic summary, and exits —
-//! the same job file therefore means the same simulation whether it is
-//! submitted to `sa-serve`, replayed by `fig6 --spec job.json`, or
-//! fingerprinted by the result cache. A malformed spec follows the shared
-//! usage convention: `error: ...` plus a usage block, exit status 2.
+//! command line (`--fast-forward`, `--probe-interval`), runs the session
+//! (through the result cache with `--cache`), prints a deterministic
+//! summary, and exits — the same job file therefore means the same
+//! simulation whether it is replayed by `fig6 --spec job.json` or
+//! fingerprinted by the result cache (see `docs/SPEC.md`). A malformed spec
+//! follows the shared usage convention: `error: ...` plus a usage block,
+//! exit status 2.
 
 use std::sync::Arc;
 
 use crate::cli::Cli;
-use sa_telemetry::Json;
-use scatter_add_repro::{ResultCache, SessionSpec};
+use sa_telemetry::{Json, MetricsRegistry};
+use scatter_add_repro::{ResultCache, SessionReport, SessionSpec};
 
 /// Usage block printed (to stderr) on any `--spec` error.
 pub const SPEC_USAGE: &str = "\
 usage: <bin> --spec JOB.json [run-control flags]
 
   runs the serialized session the file describes instead of the binary's
-  built-in experiment (schema: sa-session-spec v2, see docs/SERVING.md).
+  built-in experiment (schema: sa-session-spec v2, see docs/SPEC.md).
   execution knobs given explicitly on the command line override the spec's
   exec section: --fast-forward on|off, --probe-interval N. --cache[=DIR] and --progress attach as usual; with a
   cache, a warm spec replays without simulating.
@@ -109,7 +110,7 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
         );
     }
     if let Some(out) = args.raw("stats-json") {
-        let stats = sa_serve::job_stats_json(&spec, &report);
+        let stats = job_stats_json(&spec, &report);
         std::fs::write(out, format!("{}\n", stats.to_string_pretty()))
             .map_err(|e| SpecError::Io(format!("--stats-json {out}: {e}")))?;
         eprintln!("stats-json: wrote {out}");
@@ -126,6 +127,34 @@ pub fn run_spec(path: &str, cli: &Cli) -> Result<String, SpecError> {
         summary.push_str(&format!("  sum-back      {}\n", report.sum_back_lines));
     }
     Ok(summary)
+}
+
+/// The `--stats-json` document of a spec job: a full `sa-stats` document
+/// mirroring the registry layout [`SessionReport::bottleneck`] uses, so
+/// bound classification works and `analyze --check` accepts it.
+fn job_stats_json(spec: &SessionSpec, report: &SessionReport) -> Json {
+    let mut registry = MetricsRegistry::new();
+    {
+        let mut scope = registry.scope("session");
+        scope.counter("cycles", report.cycles);
+        scope.counter("adds", report.adds);
+        if let [only] = report.node_stats.as_slice() {
+            only.record(&mut scope);
+        } else {
+            for (i, ns) in report.node_stats.iter().enumerate() {
+                ns.record(&mut scope.scope(&format!("node{i}")));
+            }
+        }
+    }
+    let mut doc = sa_telemetry::stats_json(
+        "spec",
+        spec.config.fingerprint_json(),
+        &registry,
+        None,
+        Json::Arr(Vec::new()),
+    );
+    sa_telemetry::attach_bottleneck(&mut doc);
+    doc
 }
 
 #[cfg(test)]
@@ -176,5 +205,49 @@ mod tests {
             _ => panic!("expected a spec error"),
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn warm_cache_replays_summary_stats_and_probe_lines() {
+        let dir = std::env::temp_dir().join(format!("sa-specrun-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = SessionSpec::new(Workload::Histogram {
+            base_word: 0,
+            indices: (0..2048u64).map(|i| (i * 31 + 7) % 128).collect(),
+        });
+        spec.probe_interval = 256;
+        std::fs::create_dir_all(&dir).expect("cache dir");
+        let path = dir.join("job.json");
+        std::fs::write(&path, spec.to_json().to_string_pretty()).expect("write spec");
+        let stats = |tag: &str| dir.join(format!("{tag}.stats.json"));
+        let run = |tag: &str| {
+            let argv = format!(
+                "--cache={} --stats-json {}",
+                dir.join("cache").display(),
+                stats(tag).display()
+            );
+            run_spec(path.to_str().unwrap(), &cli(&argv)).ok().unwrap()
+        };
+        let cold = run("cold");
+        let warm = run("warm");
+        assert_eq!(cold, warm, "a warm replay prints the cold summary");
+        let doc = std::fs::read_to_string(stats("cold")).expect("cold stats");
+        assert_eq!(doc, std::fs::read_to_string(stats("warm")).unwrap());
+        let doc = Json::parse(&doc).expect("stats json");
+        sa_telemetry::validate_stats_json(&doc).expect("valid sa-stats");
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("spec"));
+
+        // The cached payload carries the probe lines: a hit replays them.
+        let cache = Arc::new(ResultCache::open(dir.join("cache")).expect("cache"));
+        let replay = spec
+            .to_builder()
+            .cache(Arc::clone(&cache))
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(cache.hits(), 1);
+        assert!(!replay.probe_lines.is_empty());
+        assert_eq!(replay, spec.to_builder().build().unwrap().run());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

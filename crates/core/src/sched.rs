@@ -12,6 +12,8 @@
 //! Each cycle runs [`Stepped::step`], the probe snapshot when due, the
 //! heartbeat, [`Stepped::settle`] (done → stop), then the skip.
 
+use std::time::Instant;
+
 use sa_sim::{Clock, Cycle};
 use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry};
 
@@ -75,6 +77,7 @@ pub struct Finish {
 pub fn run<S: Stepped>(work: &mut S, fast_forward: bool, probe: &mut Introspect) -> Finish {
     let mut clock = Clock::with_limit(RUNAWAY_LIMIT);
     let mut skipped_cycles = 0u64;
+    let started = Instant::now();
     // Fixed for the run; read once so the off path stays out of the loop.
     let (snapshots, heartbeats) = (probe.recorder.is_on(), probe.progress.is_on());
     if !work.settle(clock.now(), &mut probe.profiler) {
@@ -87,7 +90,7 @@ pub fn run<S: Stepped>(work: &mut S, fast_forward: bool, probe: &mut Introspect)
                 probe.recorder.record(reg, now.raw(), skipped_cycles);
             }
             if heartbeats && now.raw() & HEARTBEAT_MASK == 0 {
-                heartbeat(work, probe, now, skipped_cycles);
+                heartbeat(work, probe, now, skipped_cycles, started);
             }
             if work.settle(now, &mut probe.profiler) {
                 break;
@@ -119,9 +122,17 @@ pub fn run<S: Stepped>(work: &mut S, fast_forward: bool, probe: &mut Introspect)
     }
 }
 
-/// Emit one heartbeat (wall-clock throttled by the progress handle).
-fn heartbeat<S: Stepped>(work: &S, probe: &Introspect, now: Cycle, skipped_cycles: u64) {
-    let elapsed = probe.progress.elapsed().as_secs_f64();
+/// Emit one heartbeat (wall-clock throttled by the progress handle). The
+/// rate counts from `started`, the start of this run: the progress handle
+/// is process-wide and older than every run of a sweep but the first.
+fn heartbeat<S: Stepped>(
+    work: &S,
+    probe: &Introspect,
+    now: Cycle,
+    skipped_cycles: u64,
+    started: Instant,
+) {
+    let elapsed = started.elapsed().as_secs_f64();
     let rate = if elapsed > 0.0 {
         now.raw() as f64 / elapsed
     } else {
@@ -140,7 +151,10 @@ fn heartbeat<S: Stepped>(work: &S, probe: &Introspect, now: Cycle, skipped_cycle
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_telemetry::ProbeRecorder;
+    use sa_telemetry::{ProbeRecorder, Progress};
+    use std::io::Write;
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
 
     /// A toy workload with events at fixed cycles: ticked cycles are
     /// recorded, skips are recorded as (after, k), and the run is done once
@@ -251,5 +265,45 @@ mod tests {
             ..Toy::default()
         };
         run(&mut t, true, &mut Introspect::off());
+    }
+
+    /// A progress writer whose bytes the test reads back.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn heartbeat_rate_counts_from_the_start_of_the_run() {
+        let sink = Sink::default();
+        let mut probe = Introspect::off();
+        probe.progress = Progress::to_writer(Box::new(sink.clone()));
+        // The handle is older than the run, as for every later point of a
+        // sweep; its age must not dilute the rate.
+        std::thread::sleep(Duration::from_millis(200));
+        let t0 = Instant::now();
+        run(&mut toy(&[2048]), false, &mut probe);
+        let wall = t0.elapsed().as_secs_f64();
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let beat = Json::parse(text.lines().next().expect("a heartbeat")).unwrap();
+        let cycle = beat.get("cycle").and_then(Json::as_u64).unwrap();
+        let rate = beat
+            .get("sim_cycles_per_sec")
+            .and_then(Json::as_f64)
+            .unwrap();
+        assert_eq!(cycle, HEARTBEAT_MASK + 1);
+        assert!(
+            rate >= cycle as f64 / wall,
+            "rate {rate} below {cycle} cycles / {wall} s"
+        );
     }
 }

@@ -250,7 +250,7 @@ impl Fingerprint {
     /// spec.canonical_json())` makes the serialized job description *be*
     /// the cache key (plus the usual schema/version salts), so any two
     /// routes that produce the same canonical spec (builder chain, spec
-    /// file, HTTP job body) hit the same entry by construction.
+    /// file) hit the same entry by construction.
     pub fn for_payload(kind: &str, payload: Json) -> Fingerprint {
         Fingerprint::new(kind).field("spec", payload)
     }

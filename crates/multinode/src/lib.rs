@@ -35,7 +35,7 @@ use sa_faults::{Backoff, FaultPlan, ResilienceStats};
 use sa_net::{Crossbar, CrossbarPort, Message, NetStats};
 use sa_sim::{
     Addr, Cycle, MachineConfig, MemOp, MemRequest, NetworkConfig, Origin, ReqId, ScalarKind,
-    ScatterOp, WORD_BYTES,
+    ScatterOp, MAX_UNITS, WORD_BYTES,
 };
 use sa_telemetry::{HostProfiler, Introspect, Json, ProbeRegistry, ReqTracer};
 
@@ -142,6 +142,26 @@ pub enum Topology {
     Hypercube,
 }
 
+/// Check a node count before anything is allocated: `n` must lie in
+/// `1..=MAX_UNITS` (the bound [`MachineConfig::validate`] puts on every
+/// other replicated unit), and be a power of two under
+/// [`Topology::Hypercube`].
+///
+/// # Errors
+///
+/// Returns a description naming the bad count.
+pub fn check_nodes(n: usize, topology: Topology) -> Result<(), String> {
+    if !(1..=MAX_UNITS).contains(&n) {
+        return Err(format!("nodes must be in 1..={MAX_UNITS}, got {n}"));
+    }
+    if topology == Topology::Hypercube && !n.is_power_of_two() {
+        return Err(format!(
+            "hypercube needs a power-of-two node count, got {n}"
+        ));
+    }
+    Ok(())
+}
+
 /// A multi-node scatter-add machine (see crate docs).
 #[derive(Debug)]
 pub struct MultiNode {
@@ -164,7 +184,7 @@ impl MultiNode {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or above [`MAX_UNITS`].
     pub fn new(
         machine: MachineConfig,
         n: usize,
@@ -178,8 +198,7 @@ impl MultiNode {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero, or if [`Topology::Hypercube`] is requested
-    /// with a non-power-of-two node count.
+    /// Panics if [`check_nodes`] rejects `n` under `topology`.
     pub fn with_topology(
         machine: MachineConfig,
         n: usize,
@@ -187,12 +206,8 @@ impl MultiNode {
         combining: bool,
         topology: Topology,
     ) -> MultiNode {
-        assert!(n > 0, "need at least one node");
-        if topology == Topology::Hypercube {
-            assert!(
-                n.is_power_of_two(),
-                "hypercube needs a power-of-two node count"
-            );
+        if let Err(e) = check_nodes(n, topology) {
+            panic!("{e}");
         }
         let nodes = (0..n)
             .map(|i| {

@@ -42,7 +42,7 @@ mod stats;
 
 pub use config::{
     AgConfig, CacheConfig, ComputeConfig, DramConfig, MachineConfig, NetworkConfig, SaUnitConfig,
-    SensitivityConfig, Throughput,
+    SensitivityConfig, Throughput, MAX_UNITS,
 };
 pub use cycle::{Clock, Cycle};
 pub use ff::{fast_forward_default, set_fast_forward_default};

@@ -308,13 +308,6 @@ impl Progress {
         self.inner.is_some()
     }
 
-    /// Wall-clock since the handle was created.
-    pub fn elapsed(&self) -> Duration {
-        self.inner
-            .as_ref()
-            .map_or(Duration::ZERO, |i| i.start.elapsed())
-    }
-
     /// Write one raw line (no throttle). Used for probe snapshot streaming.
     pub fn emit_line(&self, line: &str) {
         if let Some(inner) = &self.inner {

@@ -19,8 +19,8 @@
 //!
 //! A session is also nameable as data: [`SessionSpec`] is the versioned
 //! JSON wire form of everything a builder chain expresses — the job
-//! description the CLI (`--spec FILE`), the `sa-serve` HTTP daemon, and the
-//! result-cache fingerprint all share (see `docs/SERVING.md`).
+//! description the CLI (`--spec FILE`) and the result-cache fingerprint
+//! share (see `docs/SPEC.md`).
 //!
 //! Everything underneath remains public through the `sa-*` crates (and the
 //! re-exports below) for callers that need a specific layer: `sa-sim` for

@@ -553,8 +553,8 @@ impl SessionBuilder {
     ///
     /// Returns a description of the first problem: no workload, a machine
     /// that cannot be built ([`MachineConfig::validate`]), an empty
-    /// workload, mismatched trace/values lengths, a zero node count, or a
-    /// non-power-of-two hypercube.
+    /// workload, mismatched trace/values lengths, or a node count
+    /// [`sa_multinode::check_nodes`] rejects.
     pub fn build(self) -> Result<Session, String> {
         let workload = self.workload.ok_or("no workload: call .workload(..)")?;
         let config = self.config.unwrap_or_else(MachineConfig::merrimac);
@@ -581,14 +581,7 @@ impl SessionBuilder {
                 values,
                 ..
             } => {
-                if *nodes == 0 {
-                    return Err("multinode workload needs at least one node".into());
-                }
-                if *topology == Topology::Hypercube && !nodes.is_power_of_two() {
-                    return Err(format!(
-                        "hypercube needs a power-of-two node count, got {nodes}"
-                    ));
-                }
+                sa_multinode::check_nodes(*nodes, *topology)?;
                 if trace.len() != values.len() {
                     return Err(format!(
                         "trace length mismatch: {} indices vs {} values",

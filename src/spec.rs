@@ -11,7 +11,8 @@
 //!   document (schema `sa-session-spec` v2) carrying the full workload
 //!   arrays. `from_json(to_json(spec))` reproduces the spec exactly, and
 //!   re-serializing yields byte-identical text, so a spec file is a stable
-//!   artifact that can be committed, diffed, and POSTed to `sa-serve`.
+//!   artifact that can be committed, diffed, and replayed with `--spec`
+//!   (see `docs/SPEC.md`).
 //! * **Canonical form** ([`SessionSpec::canonical_json`]) — the wire form
 //!   with the large index/value arrays folded into SHA-256 digests and the
 //!   `exec` section dropped. This *is* the cache fingerprint input: the
@@ -159,8 +160,8 @@ impl SessionSpec {
 
     /// The result-cache fingerprint: the canonical form as the sole payload
     /// of a `"session"` cache key (see [`Fingerprint::for_payload`]).
-    /// Equal for every builder chain, spec file, or HTTP job body that
-    /// describes the same execution-relevant inputs.
+    /// Equal for every builder chain or spec file that describes the same
+    /// execution-relevant inputs.
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::for_payload("session", self.canonical_json())
     }
